@@ -201,8 +201,6 @@ struct ProtocolConfig
     std::uint32_t maxTransientAttempts = 4;
     /** Re-broadcast window for persistent requests. */
     Tick persistentWindow = 600;
-    /** Token bundle memory grants on RO-shared reads. */
-    std::uint32_t roTokenBundle = 4;
     /** Request/ack/control message payload bytes. */
     std::uint32_t controlBytes = 8;
     /** Data message bytes (64B line + 8B header). */

@@ -5,19 +5,21 @@
  * The job API (src/service/job_api.hh) accepts a sweep matrix as
  * one JSON object; this header owns that format and the canonical
  * cache key the ResultStore is addressed by.  The "config" object
- * of a submission uses exactly the key names of the "config" block
- * in run records (system/run_result.cc), so a config copied out of
- * archived sweep output resubmits as-is.  Unknown config keys are
- * rejected rather than ignored — a typoed knob silently falling
- * back to a default would poison the cache with mislabeled runs.
+ * of a submission is decoded and encoded by the knob table
+ * (system/config_schema.hh), which also writes the "config" block
+ * of run records, so a config copied out of archived sweep output
+ * resubmits as-is.  Unknown config keys are rejected rather than
+ * ignored — a typoed knob silently falling back to a default would
+ * poison the cache with mislabeled runs.
  *
  * The cache key is a canonical compact JSON rendering of everything
  * that can change a run record's bytes: the full resolved
- * SystemConfig (every field, not just the wire-settable ones), the
- * app name, the seed, and the build provenance (tool version + git
- * describe), so a rebuild after a source change never serves stale
- * results.  Keys hash to 32 lowercase hex characters (two
- * independent 64-bit FNV-1a passes) for use as object file names.
+ * SystemConfig (every table row, not just the wire-settable ones,
+ * plus a placement trace's hash), the app name, the seed, and the
+ * build provenance (tool version + git describe), so a rebuild after
+ * a source change never serves stale results.  Keys hash to 32
+ * lowercase hex characters (two independent 64-bit FNV-1a passes)
+ * for use as object file names.
  */
 
 #ifndef VSNOOP_SERVICE_SWEEP_WIRE_HH_
@@ -42,18 +44,6 @@ struct SweepRequest
     SweepMatrix matrix;
     std::string label;
 };
-
-/**
- * @{ Parse a CLI/JSON token into the matching enum; false (output
- * untouched) on an unknown token.  Tokens are the run-record values
- * ("tokenb" | "vsnoop" | "region", "base" | "counter" |
- * "counter-threshold" | "counter-flush", "broadcast" |
- * "memory-direct" | "intra-vm" | "friend-vm").
- */
-bool parsePolicyToken(const std::string &token, PolicyKind *out);
-bool parseRelocationToken(const std::string &token, RelocationMode *out);
-bool parseRoPolicyToken(const std::string &token, RoPolicy *out);
-/** @} */
 
 /**
  * Serialize @p matrix (and an optional @p label) as a submission

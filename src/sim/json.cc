@@ -222,6 +222,18 @@ JsonValue::members() const
     return members_;
 }
 
+std::optional<std::uint64_t>
+JsonValue::uinteger(std::uint64_t max) const
+{
+    if (kind_ != Kind::Number || num_ < 0 || num_ != std::floor(num_) ||
+        num_ > 9007199254740992.0)
+        return std::nullopt;
+    auto u = static_cast<std::uint64_t>(num_);
+    if (u > max)
+        return std::nullopt;
+    return u;
+}
+
 const JsonValue *
 JsonValue::find(const std::string &name) const
 {

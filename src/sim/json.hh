@@ -125,6 +125,15 @@ class JsonValue
     const std::vector<JsonValue> &items() const;
     const std::vector<Member> &members() const;
 
+    /**
+     * The node as an exact non-negative integer no larger than
+     * @p max; nullopt for anything else (a non-number, a fraction, a
+     * negative, or a value beyond 2^53, where doubles stop holding
+     * integers exactly).
+     */
+    std::optional<std::uint64_t> uinteger(
+        std::uint64_t max = UINT64_MAX) const;
+
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &name) const;
     /** Member's number, or fallback when absent / not a number. */

@@ -123,9 +123,9 @@ SweepHeartbeat::SweepHeartbeat(const SweepMatrix &matrix)
         const SweepPoint &p = points[i];
         RunInfo info;
         info.app = p.app;
-        info.policy = policyKindName(p.policy);
-        info.relocation = relocationModeToken(p.relocation);
-        info.roPolicy = roPolicyToken(p.roPolicy);
+        info.policy = enumToken(p.policy);
+        info.relocation = enumToken(p.relocation);
+        info.roPolicy = enumToken(p.roPolicy);
         info.seed = p.seed;
         info.label = info.app + "/" + info.policy + "/" +
                      info.relocation + "/" + info.roPolicy + "/s" +

@@ -12,41 +12,6 @@
 namespace vsnoop
 {
 
-const char *
-policyKindName(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::TokenB: return "tokenb";
-      case PolicyKind::VirtualSnoop: return "vsnoop";
-      case PolicyKind::IdealRegionFilter: return "region";
-    }
-    vsnoop_panic("unknown PolicyKind ", static_cast<int>(kind));
-}
-
-const char *
-relocationModeToken(RelocationMode mode)
-{
-    switch (mode) {
-      case RelocationMode::Base: return "base";
-      case RelocationMode::Counter: return "counter";
-      case RelocationMode::CounterThreshold: return "counter-threshold";
-      case RelocationMode::CounterFlush: return "counter-flush";
-    }
-    vsnoop_panic("unknown RelocationMode ", static_cast<int>(mode));
-}
-
-const char *
-roPolicyToken(RoPolicy policy)
-{
-    switch (policy) {
-      case RoPolicy::Broadcast: return "broadcast";
-      case RoPolicy::MemoryDirect: return "memory-direct";
-      case RoPolicy::IntraVm: return "intra-vm";
-      case RoPolicy::FriendVm: return "friend-vm";
-    }
-    vsnoop_panic("unknown RoPolicy ", static_cast<int>(policy));
-}
-
 void
 writeBuildMeta(JsonWriter &json)
 {
@@ -60,67 +25,25 @@ writeBuildMeta(JsonWriter &json)
 }
 
 void
+writeRunPoint(JsonWriter &json, const std::string &app,
+              const SystemConfig &config)
+{
+    json.key("app").value(app);
+    json.key("policy").value(enumToken(config.policy));
+    json.key("relocation")
+        .value(enumToken(config.vsnoop.relocation));
+    json.key("ro_policy").value(enumToken(config.vsnoop.roPolicy));
+    json.key("seed").value(config.seed);
+}
+
+void
 RunResult::writeJson(JsonWriter &json) const
 {
     json.beginObject();
     writeBuildMeta(json);
-    json.key("app").value(app);
-    json.key("policy").value(policyKindName(config.policy));
-    json.key("relocation")
-        .value(relocationModeToken(config.vsnoop.relocation));
-    json.key("ro_policy").value(roPolicyToken(config.vsnoop.roPolicy));
-    json.key("seed").value(config.seed);
-
+    writeRunPoint(json, app, config);
     json.key("config").beginObject();
-    json.key("mesh_width").value(config.mesh.width);
-    json.key("mesh_height").value(config.mesh.height);
-    json.key("ideal_network").value(config.idealNetwork);
-    json.key("vms").value(config.numVms);
-    json.key("vcpus_per_vm").value(config.vcpusPerVm);
-    json.key("l2_bytes").value(config.l2.sizeBytes);
-    json.key("l1_bytes").value(config.l2.l1SizeBytes);
-    json.key("accesses_per_vcpu").value(config.accessesPerVcpu);
-    json.key("warmup_accesses_per_vcpu")
-        .value(config.warmupAccessesPerVcpu);
-    json.key("migration_period").value(config.migrationPeriod);
-    json.key("counter_threshold").value(config.vsnoop.counterThreshold);
-    json.key("region_bytes").value(config.regionBytes);
-    // The rest of the resolved configuration, so archived records
-    // are reproducible without consulting source defaults.
-    json.key("crossbar_latency").value(config.crossbarLatency);
-    json.key("link_bytes").value(config.mesh.linkBytes);
-    json.key("router_pipeline").value(config.mesh.routerPipeline);
-    json.key("link_latency").value(config.mesh.linkLatency);
-    json.key("l1_latency").value(config.protocol.l1Latency);
-    json.key("l2_latency").value(config.protocol.l2Latency);
-    json.key("mem_latency").value(config.protocol.memLatency);
-    json.key("retry_window").value(config.protocol.retryWindow);
-    json.key("max_transient_attempts")
-        .value(config.protocol.maxTransientAttempts);
-    json.key("persistent_window").value(config.protocol.persistentWindow);
-    json.key("broadcast_attempt").value(config.vsnoop.broadcastAttempt);
-    json.key("map_sync_bytes").value(config.vsnoop.mapSyncBytes);
-    json.key("ro_token_bundle").value(config.vsnoop.roTokenBundle);
-    json.key("content_scan").value(config.contentScan);
-    json.key("content_scan_period").value(config.contentScanPeriod);
-    json.key("timeseries_interval").value(config.timeseriesInterval);
-    json.key("tag_lookup_cycles").value(config.protocol.tagLookupCycles);
-    // Emitted only when on, so perf-off records keep their exact
-    // historical bytes (the sweep byte-identity contract).
-    if (config.perf) {
-        json.key("perf").value(true);
-        json.key("perf_sample_interval").value(config.perfSampleInterval);
-    }
-    if (config.pages) {
-        json.key("pages").value(true);
-        json.key("pages_top").value(config.pagesTop);
-    }
-    if (!config.watchPages.empty()) {
-        json.key("watch_pages").beginArray();
-        for (std::uint64_t page : config.watchPages)
-            json.value(page);
-        json.endArray();
-    }
+    writeKnobs(json, config, kInRecord);
     json.endObject();
 
     const SystemResults &r = results;

@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "system/config_schema.hh"
 #include "system/energy.hh"
 #include "system/sim_system.hh"
 
@@ -26,19 +27,6 @@ namespace vsnoop
 {
 
 class JsonWriter;
-
-/** Human-readable name of a PolicyKind ("tokenb", "vsnoop", ...). */
-const char *policyKindName(PolicyKind kind);
-
-/**
- * @{ Machine tokens for the JSON schema: identical to the CLI flag
- * values ("base", "counter-threshold", "intra-vm", ...), unlike
- * the mixed-case display names in core/vsnoop.hh, so sweep output
- * round-trips into sweep flags.
- */
-const char *relocationModeToken(RelocationMode mode);
-const char *roPolicyToken(RoPolicy policy);
-/** @} */
 
 /**
  * One run's complete, self-describing result record.
@@ -77,6 +65,14 @@ struct RunResult
  * self-describing.
  */
 void writeBuildMeta(JsonWriter &json);
+
+/**
+ * Append the run's sweep point ("app", "policy", "relocation",
+ * "ro_policy", "seed") to the currently open object.  Run records
+ * and cache keys share it, so the two cannot drift.
+ */
+void writeRunPoint(JsonWriter &json, const std::string &app,
+                   const SystemConfig &config);
 
 /**
  * Assemble a RunResult from an already-run system (and export the

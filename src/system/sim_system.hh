@@ -111,7 +111,7 @@ struct SystemConfig
      * interval time series every N ticks into results.
      */
     bool captureTrace = false;
-    std::size_t traceLimit = 1u << 20;
+    std::uint64_t traceLimit = 1u << 20;
     std::string tracePath;
     Tick timeseriesInterval = 0;
     /** @} */

@@ -55,11 +55,11 @@ SweepMatrix::traceFileName(const SweepPoint &point)
 {
     std::string name = point.app;
     name += '-';
-    name += policyKindName(point.policy);
+    name += enumToken(point.policy);
     name += '-';
-    name += relocationModeToken(point.relocation);
+    name += enumToken(point.relocation);
     name += '-';
-    name += roPolicyToken(point.roPolicy);
+    name += enumToken(point.roPolicy);
     name += "-s";
     name += std::to_string(point.seed);
     name += ".trace.json";

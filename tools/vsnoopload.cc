@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "service/sweep_wire.hh"
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/stats_server.hh"
@@ -37,6 +38,7 @@
 #include "workload/app_profile.hh"
 
 using namespace vsnoop;
+using cli::die;
 
 namespace
 {
@@ -72,65 +74,6 @@ usage()
         "Flags accept both \"--flag value\" and \"--flag=value\".\n";
 }
 
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopload: " << msg << "\n";
-    std::exit(2);
-}
-
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" + value +
-            "'");
-    return parsed;
-}
-
-std::vector<std::string>
-splitList(const std::string &flag, const std::string &value)
-{
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        std::string item = value.substr(start, comma - start);
-        if (item.empty())
-            die(flag + " has an empty list element in '" + value +
-                "'");
-        items.push_back(std::move(item));
-        start = comma + 1;
-        if (comma == value.size())
-            break;
-    }
-    if (items.empty())
-        die(flag + " expects a non-empty comma-separated list");
-    return items;
-}
-
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
-}
-
 struct ClientOutcome
 {
     std::vector<std::uint64_t> latenciesMs;
@@ -154,33 +97,28 @@ main(int argc, char **argv)
     std::uint64_t seed_base = 1;
     std::uint64_t poll_ms = 25;
 
-    std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
+    cli::Args args("vsnoopload", argc, argv);
+    while (args.next()) {
+        const std::string &flag = args.flag();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--addr") {
-            addr = next_value(i, flag);
+            addr = args.value();
         } else if (flag == "--clients") {
-            clients = parseUint(flag, next_value(i, flag));
+            clients = args.uintValue();
         } else if (flag == "--submissions") {
-            submissions = parseUint(flag, next_value(i, flag));
+            submissions = args.uintValue();
         } else if (flag == "--distinct") {
-            distinct = parseUint(flag, next_value(i, flag));
+            distinct = args.uintValue();
         } else if (flag == "--apps") {
-            apps = splitList(flag, next_value(i, flag));
+            apps = cli::splitList(flag, args.value());
         } else if (flag == "--accesses") {
-            accesses = parseUint(flag, next_value(i, flag));
+            accesses = args.uintValue();
         } else if (flag == "--seed-base") {
-            seed_base = parseUint(flag, next_value(i, flag));
+            seed_base = args.uintValue();
         } else if (flag == "--poll-ms") {
-            poll_ms = parseUint(flag, next_value(i, flag));
+            poll_ms = args.uintValue();
         } else {
             die("unknown flag '" + flag + "' (try --help)");
         }

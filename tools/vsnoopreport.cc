@@ -64,9 +64,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 
 using namespace vsnoop;
+using cli::die;
 
 namespace
 {
@@ -110,13 +112,6 @@ usage()
         "    never fails); a phase run-count mismatch always fails.\n"
         "\n"
         "  --help                this text\n";
-}
-
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopreport: " << msg << "\n";
-    std::exit(2);
 }
 
 /**
@@ -1791,32 +1786,15 @@ runTrend(const std::string &path, const std::string &out_path)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-
     bool diff_mode = false;
     bool trend_mode = false;
     double threshold = 0.05;
     std::string out_path;
     std::vector<std::string> inputs;
 
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
+    cli::Args args("vsnoopreport", argc, argv);
+    while (args.next()) {
+        const std::string &flag = args.flag();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
@@ -1825,14 +1803,14 @@ main(int argc, char **argv)
         } else if (flag == "--trend") {
             trend_mode = true;
         } else if (flag == "--threshold") {
-            std::string value = next_value(i, flag);
+            std::string value = args.value();
             char *end = nullptr;
             threshold = std::strtod(value.c_str(), &end);
             if (end == value.c_str() || *end != '\0' || threshold < 0.0)
                 die("--threshold expects a non-negative number, got '" +
                     value + "'");
         } else if (flag == "--out") {
-            out_path = next_value(i, flag);
+            out_path = args.value();
         } else if (flag.rfind("--", 0) == 0) {
             die("unknown flag '" + flag + "' (try --help)");
         } else {

@@ -3,31 +3,34 @@
  * vsnoopsim — command-line front end for the simulator.
  *
  * Runs one configuration end to end and prints the full result set
- * (coherence, network, policy, memory, and energy statistics).
- * Everything the SystemConfig exposes is reachable from flags, so
- * the tool doubles as the scripting interface for custom
- * experiments:
+ * (coherence, network, policy, memory, and energy statistics).  The
+ * configuration flags come from the knob table
+ * (system/config_schema.hh), so the tool doubles as the scripting
+ * interface for custom experiments:
  *
  *   vsnoopsim --app canneal --policy vsnoop --relocation counter \
  *             --migration-period 50000 --accesses 20000
  *
  * Flags accept both "--flag value" and "--flag=value".  Run with
- * --help for the full flag list.
+ * --help for the full flag list.  Not every knob has a flag: the
+ * table's wire-only keys (content_scan, tag_lookup_cycles, the
+ * latencies, ...) are set through a vsnoopserve submission's
+ * "config" object or the C++ API.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/metrics.hh"
 #include "sim/profiler.hh"
 #include "sim/stats.hh"
 #include "sim/stats_server.hh"
 #include "sim/table.hh"
+#include "system/config_schema.hh"
 #include "system/energy.hh"
 #include "system/heartbeat.hh"
 #include "system/run_result.hh"
@@ -36,6 +39,7 @@
 #include "trace/trace.hh"
 
 using namespace vsnoop;
+using cli::die;
 
 namespace
 {
@@ -48,87 +52,37 @@ usage()
         "\n"
         "usage: vsnoopsim [flags]\n"
         "\n"
-        "workload:\n"
+        "run:\n"
         "  --app NAME            application profile (default ferret);\n"
         "                        one of: cholesky fft lu ocean radix\n"
         "                        blackscholes canneal dedup ferret\n"
         "                        specjbb, plus the scheduler-study set\n"
-        "  --accesses N          accesses per vCPU (default 20000)\n"
-        "  --warmup N            warmup accesses per vCPU (default\n"
-        "                        accesses/4)\n"
         "  --seed N              RNG seed (default 1)\n"
-        "\n"
-        "system:\n"
-        "  --mesh WxH            mesh geometry (default 4x4)\n"
-        "  --vms N               virtual machines (default 4)\n"
-        "  --vcpus N             vCPUs per VM (default 4)\n"
-        "  --l2-kb N             private L2 size in KB (default 256)\n"
-        "  --l1-kb N             model private L1s of N KB (default\n"
-        "                        off; generators emit post-L1 streams)\n"
-        "  --ideal-network       use a contention-free crossbar\n"
-        "\n"
-        "policy:\n"
         "  --policy P            tokenb | vsnoop | region (default\n"
         "                        vsnoop)\n"
         "  --relocation M        base | counter | counter-threshold |\n"
         "                        counter-flush (default counter)\n"
         "  --ro-policy P         broadcast | memory-direct | intra-vm |\n"
         "                        friend-vm (default broadcast)\n"
-        "  --threshold N         counter threshold (default 10)\n"
-        "  --region-bytes N      region filter granularity (default\n"
-        "                        1024)\n"
         "\n"
-        "relocation:\n"
-        "  --migration-period T  ticks between vCPU shuffles (default\n"
-        "                        0 = pinned)\n"
+        "configuration:\n";
+    ConfigFlags::writeUsage(std::cout);
+    std::cout <<
         "\n"
         "observability:\n"
         "  --trace FILE          capture the coherence transaction\n"
         "                        trace and export it as a Chrome\n"
         "                        trace-event JSON file (load in\n"
         "                        Perfetto / chrome://tracing)\n"
-        "  --trace-limit N       trace ring capacity in records\n"
-        "                        (default 1048576; oldest records are\n"
-        "                        dropped when full)\n"
-        "  --timeseries-interval T\n"
-        "                        sample the interval time series every\n"
-        "                        T ticks into the JSON result and the\n"
-        "                        trace's counter track (default 0 =\n"
-        "                        off)\n"
-        "\n"
-        "  --profile             profile the simulator itself: print\n"
-        "                        a per-phase host time breakdown and\n"
-        "                        events/s to stderr after the run\n"
-        "  --perf                collect simulator-internals counters\n"
-        "                        (event-queue occupancy, hash-table\n"
-        "                        probe lengths, pool watermarks, mesh\n"
-        "                        backlog) into results.perf of the\n"
-        "                        JSON record; deterministic, off by\n"
-        "                        default, and the record is\n"
-        "                        byte-identical to a non---perf run\n"
-        "                        when off\n"
-        "  --perf-sample-interval T\n"
-        "                        sample perf occupancy histograms\n"
-        "                        every T ticks (default 10000; a\n"
-        "                        nonzero --timeseries-interval takes\n"
-        "                        precedence for the shared sampling\n"
-        "                        chain)\n"
-        "  --pages               attribute snoop activity to host\n"
-        "                        pages: per-page lookup/miss/cross-VM\n"
-        "                        counters in a bounded top-K table,\n"
-        "                        sharing-lifecycle transition counts,\n"
-        "                        and a mapped-page census, emitted as\n"
-        "                        results.pages; the top-K lookup total\n"
-        "                        plus the truncated remainder equals\n"
-        "                        snoop_lookups exactly\n"
-        "  --pages-top K         heavy-hitter capacity for --pages\n"
-        "                        (default 64)\n"
         "  --watch-page ADDR     watch one host page (byte address,\n"
         "                        decimal or 0x-hex; repeatable):\n"
         "                        transaction trace records are kept\n"
         "                        only for watched pages, and page\n"
         "                        lifecycle events are traced; implies\n"
         "                        trace capture\n"
+        "  --profile             profile the simulator itself: print\n"
+        "                        a per-phase host time breakdown and\n"
+        "                        events/s to stderr after the run\n"
         "  --stats-addr H:P      serve live telemetry over HTTP while\n"
         "                        the run executes: /metrics\n"
         "                        (Prometheus text format, including\n"
@@ -147,55 +101,6 @@ usage()
         "  --help                this text\n";
 }
 
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopsim: " << msg << "\n";
-    std::exit(2);
-}
-
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" +
-            value + "'");
-    return parsed;
-}
-
-/** Expand "--flag=value" into "--flag","value". */
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
-}
-
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &name : names) {
-        if (!out.empty())
-            out += ' ';
-        out += name;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -203,141 +108,42 @@ main(int argc, char **argv)
 {
     std::string app_name = "ferret";
     SystemConfig cfg;
-    cfg.accessesPerVcpu = 20000;
-    bool warmup_set = false;
+    ConfigFlags config_flags(&cfg);
     bool want_energy = false;
     bool want_json = false;
     bool want_profile = false;
     std::string stats_addr;
 
-    std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
+    cli::Args args("vsnoopsim", argc, argv);
+    while (args.next()) {
+        const std::string &flag = args.flag();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
+        } else if (config_flags.consume(args)) {
         } else if (flag == "--app") {
-            app_name = next_value(i, flag);
-        } else if (flag == "--accesses") {
-            cfg.accessesPerVcpu = parseUint(flag, next_value(i, flag));
-        } else if (flag == "--warmup") {
-            cfg.warmupAccessesPerVcpu =
-                parseUint(flag, next_value(i, flag));
-            warmup_set = true;
+            app_name = args.value();
         } else if (flag == "--seed") {
-            cfg.seed = parseUint(flag, next_value(i, flag));
-        } else if (flag == "--mesh") {
-            std::string value = next_value(i, flag);
-            auto x = value.find('x');
-            if (x == std::string::npos)
-                die("--mesh expects WxH, e.g. 4x4");
-            cfg.mesh.width = static_cast<std::uint32_t>(
-                parseUint(flag, value.substr(0, x)));
-            cfg.mesh.height = static_cast<std::uint32_t>(
-                parseUint(flag, value.substr(x + 1)));
-        } else if (flag == "--vms") {
-            cfg.numVms = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-        } else if (flag == "--vcpus") {
-            cfg.vcpusPerVm = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-        } else if (flag == "--l2-kb") {
-            cfg.l2.sizeBytes =
-                parseUint(flag, next_value(i, flag)) * 1024;
-        } else if (flag == "--l1-kb") {
-            cfg.l2.l1SizeBytes =
-                parseUint(flag, next_value(i, flag)) * 1024;
-        } else if (flag == "--ideal-network") {
-            cfg.idealNetwork = true;
+            cfg.seed = args.uintValue();
         } else if (flag == "--policy") {
-            std::string value = next_value(i, flag);
-            if (value == "tokenb")
-                cfg.policy = PolicyKind::TokenB;
-            else if (value == "vsnoop")
-                cfg.policy = PolicyKind::VirtualSnoop;
-            else if (value == "region")
-                cfg.policy = PolicyKind::IdealRegionFilter;
-            else
-                die("unknown --policy '" + value +
-                    "'; known: tokenb vsnoop region");
+            cfg.policy = tokenArg<PolicyKind>(flag, args.value());
         } else if (flag == "--relocation") {
-            std::string value = next_value(i, flag);
-            if (value == "base")
-                cfg.vsnoop.relocation = RelocationMode::Base;
-            else if (value == "counter")
-                cfg.vsnoop.relocation = RelocationMode::Counter;
-            else if (value == "counter-threshold")
-                cfg.vsnoop.relocation = RelocationMode::CounterThreshold;
-            else if (value == "counter-flush")
-                cfg.vsnoop.relocation = RelocationMode::CounterFlush;
-            else
-                die("unknown --relocation '" + value +
-                    "'; known: base counter counter-threshold "
-                    "counter-flush");
+            cfg.vsnoop.relocation =
+                tokenArg<RelocationMode>(flag, args.value());
         } else if (flag == "--ro-policy") {
-            std::string value = next_value(i, flag);
-            if (value == "broadcast")
-                cfg.vsnoop.roPolicy = RoPolicy::Broadcast;
-            else if (value == "memory-direct")
-                cfg.vsnoop.roPolicy = RoPolicy::MemoryDirect;
-            else if (value == "intra-vm")
-                cfg.vsnoop.roPolicy = RoPolicy::IntraVm;
-            else if (value == "friend-vm")
-                cfg.vsnoop.roPolicy = RoPolicy::FriendVm;
-            else
-                die("unknown --ro-policy '" + value +
-                    "'; known: broadcast memory-direct intra-vm "
-                    "friend-vm");
-        } else if (flag == "--threshold") {
-            cfg.vsnoop.counterThreshold =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--region-bytes") {
-            cfg.regionBytes = parseUint(flag, next_value(i, flag));
-        } else if (flag == "--migration-period") {
-            cfg.migrationPeriod = parseUint(flag, next_value(i, flag));
+            cfg.vsnoop.roPolicy = tokenArg<RoPolicy>(flag, args.value());
         } else if (flag == "--trace") {
-            cfg.tracePath = next_value(i, flag);
-        } else if (flag == "--trace-limit") {
-            cfg.traceLimit = static_cast<std::size_t>(
-                parseUint(flag, next_value(i, flag)));
-            if (cfg.traceLimit == 0)
-                die("--trace-limit must be at least 1");
-        } else if (flag == "--timeseries-interval") {
-            cfg.timeseriesInterval =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--profile") {
-            want_profile = true;
-        } else if (flag == "--perf") {
-            cfg.perf = true;
-        } else if (flag == "--perf-sample-interval") {
-            cfg.perfSampleInterval =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--pages") {
-            cfg.pages = true;
-        } else if (flag == "--pages-top") {
-            cfg.pagesTop = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-            if (cfg.pagesTop == 0)
-                die("--pages-top must be at least 1");
+            cfg.tracePath = args.value();
         } else if (flag == "--watch-page") {
             // Byte address, decimal or 0x-hex; stored as a host page
             // number.
-            std::string value = next_value(i, flag);
-            char *end = nullptr;
-            std::uint64_t addr =
-                std::strtoull(value.c_str(), &end, 0);
-            if (end == value.c_str() || *end != '\0')
-                die("--watch-page expects an address, got '" +
-                    value + "'");
-            cfg.watchPages.push_back(addr >> kPageShift);
+            cfg.watchPages.push_back(
+                cli::parseUint(flag, args.value(), UINT64_MAX, 0) >>
+                kPageShift);
+        } else if (flag == "--profile") {
+            want_profile = true;
         } else if (flag == "--stats-addr") {
-            stats_addr = next_value(i, flag);
+            stats_addr = args.value();
         } else if (flag == "--energy") {
             want_energy = true;
         } else if (flag == "--json") {
@@ -346,13 +152,12 @@ main(int argc, char **argv)
             die("unknown flag '" + flag + "' (try --help)");
         }
     }
-    if (!warmup_set)
-        cfg.warmupAccessesPerVcpu = cfg.accessesPerVcpu / 4;
+    config_flags.finish();
 
     const AppProfile *app = tryFindApp(app_name);
     if (app == nullptr)
         die("unknown --app '" + app_name + "'; known: " +
-            joinNames(knownAppNames()));
+            cli::joinNames(knownAppNames()));
 
     quietLogging(true);
 

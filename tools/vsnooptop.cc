@@ -34,10 +34,12 @@
 #include <thread>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "sim/stats_server.hh"
 
 using namespace vsnoop;
+using cli::die;
 
 namespace
 {
@@ -73,43 +75,6 @@ usage()
         "first poll fails.\n"
         "\n"
         "Flags accept both \"--flag value\" and \"--flag=value\".\n";
-}
-
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnooptop: " << msg << "\n";
-    std::exit(2);
-}
-
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" +
-            value + "'");
-    return parsed;
-}
-
-/** Expand "--flag=value" into "--flag","value". */
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
 }
 
 /** @{ ANSI fragments (kept inline so --once output stays plain). */
@@ -576,22 +541,16 @@ main(int argc, char **argv)
     std::uint64_t interval_ms = 1000;
     bool once = false;
 
-    std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
+    cli::Args args("vsnooptop", argc, argv);
+    while (args.next()) {
+        const std::string &flag = args.flag();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--addr") {
-            addr = next_value(i, flag);
+            addr = args.value();
         } else if (flag == "--interval") {
-            interval_ms = parseUint(flag, next_value(i, flag));
+            interval_ms = args.uintValue();
             if (interval_ms == 0)
                 die("--interval must be at least 1 ms");
         } else if (flag == "--once") {
