@@ -1,5 +1,6 @@
 #include "service/job_queue.hh"
 
+#include <algorithm>
 #include <exception>
 
 #include "service/sweep_wire.hh"
@@ -340,10 +341,7 @@ JobQueue::execute(Job &job)
                     static_cast<std::int64_t>(steadyNowMs());
                 RunResult result = collectRun(job.configs[slot],
                                               *job.profiles[slot]);
-                if (result.results.perf.enabled)
-                    perf_.add(result.results.perf);
-                if (result.results.pages.enabled)
-                    pages_.add(result.results.pages);
+                totals_.add(result.results);
                 std::string line = result.toJson();
                 if (store_ != nullptr)
                     store_->put(job.cacheKeys[slot], line);
@@ -411,74 +409,60 @@ JobQueue::shutdown()
 }
 
 void
-JobQueue::registerMetrics(MetricsRegistry &registry)
+JobQueue::registerMetrics(MetricsRegistry &registry) const
 {
-    submittedId_ = registry.addCounter("vsnoop_jobs_submitted_total",
-                                       "Sweep jobs accepted");
-    completedId_ = registry.addCounter("vsnoop_jobs_completed_total",
-                                       "Sweep jobs finished (done)");
-    failedId_ = registry.addCounter("vsnoop_jobs_failed_total",
-                                    "Sweep jobs finished (failed)");
-    cancelledId_ = registry.addCounter("vsnoop_jobs_cancelled_total",
-                                       "Sweep jobs cancelled");
-    executedId_ =
-        registry.addCounter("vsnoop_job_runs_executed_total",
-                            "Runs simulated on behalf of jobs");
-    fromCacheId_ =
-        registry.addCounter("vsnoop_job_runs_from_cache_total",
-                            "Runs served from the result store");
-    queuedGaugeId_ = registry.addGauge("vsnoop_jobs_queued",
-                                       "Jobs waiting to run");
-    runningGaugeId_ = registry.addGauge("vsnoop_jobs_running",
-                                        "Jobs currently executing");
+    auto jobsIn = [this](JobState state) {
+        return [this, state] {
+            std::lock_guard<std::mutex> lock(mutex_);
+            return static_cast<double>(std::count_if(
+                jobs_.begin(), jobs_.end(),
+                [state](const auto &job) {
+                    return job.second->state == state;
+                }));
+        };
+    };
+    auto locked = [this](const LatencyHistogram &hist) {
+        return [this, &hist] {
+            std::lock_guard<std::mutex> lock(mutex_);
+            return hist;
+        };
+    };
+    registry.addCounter("vsnoop_jobs_submitted_total",
+                        "Sweep jobs accepted",
+                        atomicSource(jobsSubmitted_));
+    registry.addCounter("vsnoop_jobs_completed_total",
+                        "Sweep jobs finished (done)",
+                        atomicSource(jobsCompleted_));
+    registry.addCounter("vsnoop_jobs_failed_total",
+                        "Sweep jobs finished (failed)",
+                        atomicSource(jobsFailed_));
+    registry.addCounter("vsnoop_jobs_cancelled_total",
+                        "Sweep jobs cancelled",
+                        atomicSource(jobsCancelled_));
+    registry.addCounter("vsnoop_job_runs_executed_total",
+                        "Runs simulated on behalf of jobs",
+                        atomicSource(runsExecuted_));
+    registry.addCounter("vsnoop_job_runs_from_cache_total",
+                        "Runs served from the result store",
+                        atomicSource(runsFromCache_));
+    registry.addGauge("vsnoop_jobs_queued", "Jobs waiting to run",
+                      jobsIn(JobState::Queued));
+    registry.addGauge("vsnoop_jobs_running", "Jobs currently executing",
+                      jobsIn(JobState::Running));
     // Sampled whenever a job leaves Queued, so once every job is
     // terminal this histogram's _count equals
     // vsnoop_jobs_submitted_total.
-    queueWaitHistId_ = registry.addHistogram(
-        "vsnoop_job_queue_wait_ms",
-        "Milliseconds jobs spent queued before dispatch "
-        "(or cancellation)");
+    registry.addHistogram("vsnoop_job_queue_wait_ms",
+                          "Milliseconds jobs spent queued before dispatch "
+                          "(or cancellation)",
+                          locked(queueWaitHist_));
     // One sample per simulated run; _count equals
     // vsnoop_job_runs_executed_total.
-    runExecuteHistId_ = registry.addHistogram(
-        "vsnoop_job_run_execute_ms",
-        "Milliseconds per executed run, simulation plus store "
-        "insert");
-    perf_.registerMetrics(registry);
-    pages_.registerMetrics(registry);
-    metricsRegistered_ = true;
-}
-
-void
-JobQueue::stageMetrics(MetricsRegistry &registry) const
-{
-    vsnoop_assert(metricsRegistered_,
-                  "stageMetrics() before registerMetrics()");
-    std::size_t queued = 0, running = 0;
-    LatencyHistogram queueWait, runExecute;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[id, job] : jobs_) {
-            if (job->state == JobState::Queued)
-                ++queued;
-            else if (job->state == JobState::Running)
-                ++running;
-        }
-        queueWait = queueWaitHist_;
-        runExecute = runExecuteHist_;
-    }
-    registry.set(submittedId_, static_cast<double>(jobsSubmitted()));
-    registry.set(completedId_, static_cast<double>(jobsCompleted()));
-    registry.set(failedId_, static_cast<double>(jobsFailed()));
-    registry.set(cancelledId_, static_cast<double>(jobsCancelled()));
-    registry.set(executedId_, static_cast<double>(runsExecuted()));
-    registry.set(fromCacheId_, static_cast<double>(runsFromCache()));
-    registry.set(queuedGaugeId_, static_cast<double>(queued));
-    registry.set(runningGaugeId_, static_cast<double>(running));
-    registry.setHistogram(queueWaitHistId_, queueWait);
-    registry.setHistogram(runExecuteHistId_, runExecute);
-    perf_.stageMetrics(registry);
-    pages_.stageMetrics(registry);
+    registry.addHistogram("vsnoop_job_run_execute_ms",
+                          "Milliseconds per executed run, simulation plus "
+                          "store insert",
+                          locked(runExecuteHist_));
+    totals_.registerMetrics(registry, true, true);
 }
 
 } // namespace vsnoop

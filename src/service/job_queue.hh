@@ -56,11 +56,10 @@
 #include <vector>
 
 #include "service/result_store.hh"
-#include "sim/perfmon.hh"
 #include "sim/stats.hh"
+#include "system/run_totals.hh"
 #include "system/sweep.hh"
 #include "trace/job_trace.hh"
-#include "trace/pagemon.hh"
 
 namespace vsnoop
 {
@@ -169,9 +168,10 @@ class JobQueue
     std::uint64_t runsFromCache() const { return runsFromCache_.load(); }
     /** @} */
 
-    /** See ResultStore::registerMetrics() for the contract. */
-    void registerMetrics(MetricsRegistry &registry);
-    void stageMetrics(MetricsRegistry &registry) const;
+    /** Job counters, queue-wait and execute histograms, and the
+     *  perf/pages totals of executed runs.  See
+     *  ResultStore::registerMetrics() for the contract. */
+    void registerMetrics(MetricsRegistry &registry) const;
 
   private:
     struct Job
@@ -235,20 +235,9 @@ class JobQueue
     LatencyHistogram queueWaitHist_;
     LatencyHistogram runExecuteHist_;
 
-    /** Simulator-internals aggregate over executed runs that were
-     * submitted with "perf": true (own lock; see sim/perfmon.hh). */
-    PerfExport perf_;
-
-    /** Page-attribution aggregate over executed runs submitted with
-     * "pages": true (own lock; see trace/pagemon.hh). */
-    PagesExport pages_;
-
-    MetricsRegistry::Id submittedId_ = 0, completedId_ = 0,
-                        failedId_ = 0, cancelledId_ = 0,
-                        executedId_ = 0, fromCacheId_ = 0,
-                        queuedGaugeId_ = 0, runningGaugeId_ = 0,
-                        queueWaitHistId_ = 0, runExecuteHistId_ = 0;
-    bool metricsRegistered_ = false;
+    /** Perf and pages totals over executed runs submitted with
+     * "perf"/"pages": true (own lock; see system/run_totals.hh). */
+    RunTotals totals_;
 };
 
 } // namespace vsnoop

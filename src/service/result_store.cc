@@ -192,7 +192,8 @@ void
 ResultStore::evictLocked(const std::string &keepHash)
 {
     while (bytes_ > maxBytes_ && !lru_.empty()) {
-        const std::string &victim = lru_.front();
+        // A copy: dropLocked() erases the list node that holds it.
+        std::string victim = lru_.front();
         if (victim == keepHash)
             break; // never evict the entry just inserted
         dropLocked(victim, true);
@@ -313,50 +314,34 @@ ResultStore::totalBytes() const
 }
 
 void
-ResultStore::registerMetrics(MetricsRegistry &registry)
+ResultStore::registerMetrics(MetricsRegistry &registry) const
 {
-    hitsId_ = registry.addCounter("vsnoop_store_hits_total",
-                                  "Result-store cache hits");
-    missesId_ = registry.addCounter("vsnoop_store_misses_total",
-                                    "Result-store cache misses");
-    insertionsId_ =
-        registry.addCounter("vsnoop_store_insertions_total",
-                            "Records inserted into the result store");
-    evictionsId_ =
-        registry.addCounter("vsnoop_store_evictions_total",
-                            "Records evicted to stay under the byte cap");
-    corruptId_ = registry.addCounter(
+    registry.addCounter("vsnoop_store_hits_total",
+                        "Result-store cache hits", atomicSource(hits_));
+    registry.addCounter("vsnoop_store_misses_total",
+                        "Result-store cache misses",
+                        atomicSource(misses_));
+    registry.addCounter("vsnoop_store_insertions_total",
+                        "Records inserted into the result store",
+                        atomicSource(insertions_));
+    registry.addCounter("vsnoop_store_evictions_total",
+                        "Records evicted to stay under the byte cap",
+                        atomicSource(evictions_));
+    registry.addCounter(
         "vsnoop_store_corrupt_dropped_total",
-        "Entries dropped because their object was missing or torn");
-    writeFailuresId_ =
-        registry.addCounter("vsnoop_store_write_failures_total",
-                            "Failed object or index writes");
-    expiredId_ =
-        registry.addCounter("vsnoop_store_expired_total",
-                            "Records evicted for exceeding the age "
-                            "cutoff");
-    entriesId_ = registry.addGauge("vsnoop_store_entries",
-                                   "Records currently cached");
-    bytesId_ = registry.addGauge("vsnoop_store_bytes",
-                                 "Bytes of cached objects on disk");
-    metricsRegistered_ = true;
-}
-
-void
-ResultStore::stageMetrics(MetricsRegistry &registry) const
-{
-    vsnoop_assert(metricsRegistered_,
-                  "stageMetrics() before registerMetrics()");
-    std::lock_guard<std::mutex> lock(mutex_);
-    registry.set(hitsId_, static_cast<double>(hits_));
-    registry.set(missesId_, static_cast<double>(misses_));
-    registry.set(insertionsId_, static_cast<double>(insertions_));
-    registry.set(evictionsId_, static_cast<double>(evictions_));
-    registry.set(corruptId_, static_cast<double>(corrupt_));
-    registry.set(writeFailuresId_, static_cast<double>(writeFailures_));
-    registry.set(expiredId_, static_cast<double>(expired_));
-    registry.set(entriesId_, static_cast<double>(entries_.size()));
-    registry.set(bytesId_, static_cast<double>(bytes_));
+        "Entries dropped because their object was missing or torn",
+        atomicSource(corrupt_));
+    registry.addCounter("vsnoop_store_write_failures_total",
+                        "Failed object or index writes",
+                        atomicSource(writeFailures_));
+    registry.addCounter("vsnoop_store_expired_total",
+                        "Records evicted for exceeding the age cutoff",
+                        atomicSource(expired_));
+    registry.addGauge("vsnoop_store_entries", "Records currently cached",
+                      [this] { return static_cast<double>(entryCount()); });
+    registry.addGauge("vsnoop_store_bytes",
+                      "Bytes of cached objects on disk",
+                      [this] { return static_cast<double>(totalBytes()); });
 }
 
 } // namespace vsnoop

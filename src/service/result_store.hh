@@ -124,11 +124,10 @@ class ResultStore
 
     /**
      * Register the store's series with @p registry (before its
-     * freeze()).  stageMetrics() then stages current values; the
-     * caller owns publish() (single-publisher seqlock contract).
+     * freeze()).  The store must outlive the registry's last
+     * publish().
      */
-    void registerMetrics(MetricsRegistry &registry);
-    void stageMetrics(MetricsRegistry &registry) const;
+    void registerMetrics(MetricsRegistry &registry) const;
 
   private:
     struct Entry
@@ -163,13 +162,6 @@ class ResultStore
     std::atomic<std::uint64_t> corrupt_{0};
     std::atomic<std::uint64_t> writeFailures_{0};
     std::atomic<std::uint64_t> expired_{0};
-
-    /** Metric ids (valid after registerMetrics()). */
-    MetricsRegistry::Id hitsId_ = 0, missesId_ = 0, insertionsId_ = 0,
-                        evictionsId_ = 0, corruptId_ = 0,
-                        writeFailuresId_ = 0, entriesId_ = 0,
-                        bytesId_ = 0, expiredId_ = 0;
-    bool metricsRegistered_ = false;
 };
 
 } // namespace vsnoop

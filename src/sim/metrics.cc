@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "sim/version.hh"
 
 namespace vsnoop
@@ -90,27 +89,42 @@ kindName(MetricKind kind)
     return "untyped";
 }
 
-/** Slots a series occupies: [buckets..][sum][count] for histograms. */
-std::size_t
-slotsFor(MetricKind kind)
-{
-    return kind == MetricKind::Histogram
-               ? LatencyHistogram::kNumBuckets + 2
-               : 1;
-}
-
 } // namespace
 
 MetricsRegistry::Id
 MetricsRegistry::add(MetricKind kind, std::string name, std::string help,
-                     std::vector<MetricLabel> labels)
+                     Source source, std::vector<MetricLabel> labels)
 {
+    vsnoop_assert(kind != MetricKind::Histogram,
+                  "histogram '", name, "' needs addHistogram()");
+    return addSeries({kind, std::move(name), std::move(help),
+                      std::move(labels), 0, 1, std::move(source),
+                      nullptr});
+}
+
+MetricsRegistry::Id
+MetricsRegistry::addHistogram(std::string name, std::string help,
+                              HistogramSource source,
+                              std::vector<MetricLabel> labels)
+{
+    return addSeries({MetricKind::Histogram, std::move(name),
+                      std::move(help), std::move(labels), 0,
+                      LatencyHistogram::kNumBuckets + 2, nullptr,
+                      std::move(source)});
+}
+
+MetricsRegistry::Id
+MetricsRegistry::addSeries(SeriesMeta meta)
+{
+    const std::string &name = meta.name;
     vsnoop_assert(!frozen_,
                   "metrics registry is frozen; register every series "
                   "before freeze()");
     vsnoop_assert(validMetricName(name),
                   "invalid Prometheus metric name '", name, "'");
-    for (const MetricLabel &label : labels)
+    vsnoop_assert(meta.source != nullptr || meta.histogram != nullptr,
+                  "metric '", name, "' has no source");
+    for (const MetricLabel &label : meta.labels)
         vsnoop_assert(validLabelName(label.first),
                       "invalid Prometheus label name '", label.first,
                       "' on metric '", name, "'");
@@ -120,16 +134,16 @@ MetricsRegistry::add(MetricKind kind, std::string name, std::string help,
     for (const SeriesMeta &m : meta_) {
         if (m.name != name)
             continue;
-        vsnoop_assert(m.kind == kind && m.help == help,
+        vsnoop_assert(m.kind == meta.kind && m.help == meta.help,
                       "metric family '", name,
                       "' re-registered with different kind or help");
         vsnoop_assert(meta_.back().name == name,
                       "metric family '", name,
                       "' must be registered contiguously");
     }
-    meta_.push_back({kind, std::move(name), std::move(help),
-                     std::move(labels), totalSlots_, slotsFor(kind)});
-    totalSlots_ += meta_.back().slots;
+    meta.slotBase = totalSlots_;
+    totalSlots_ += meta.slots;
+    meta_.push_back(std::move(meta));
     return meta_.size() - 1;
 }
 
@@ -138,55 +152,33 @@ MetricsRegistry::freeze()
 {
     vsnoop_assert(!frozen_, "metrics registry frozen twice");
     frozen_ = true;
-    // vector<atomic<double>> cannot grow, so both arrays are sized
-    // exactly once here; C++20 value-initializes the atomics to 0.
-    staging_ = std::vector<std::atomic<double>>(totalSlots_);
+    // vector<atomic<double>> cannot grow, so the published array is
+    // sized exactly once here; C++20 value-initializes it to 0.
+    staging_.assign(totalSlots_, 0.0);
     published_ = std::vector<std::atomic<double>>(totalSlots_);
-}
-
-void
-MetricsRegistry::set(Id id, double value)
-{
-    vsnoop_assert(frozen_, "set() before freeze()");
-    const SeriesMeta &m = meta_.at(id);
-    vsnoop_assert(m.kind != MetricKind::Histogram,
-                  "set() on histogram '", m.name,
-                  "'; use setHistogram()");
-    staging_[m.slotBase].store(value, std::memory_order_relaxed);
-}
-
-double
-MetricsRegistry::value(Id id) const
-{
-    vsnoop_assert(frozen_, "value() before freeze()");
-    const SeriesMeta &m = meta_.at(id);
-    vsnoop_assert(m.kind != MetricKind::Histogram,
-                  "value() on histogram '", m.name, "'");
-    return staging_[m.slotBase].load(std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::setHistogram(Id id, const LatencyHistogram &hist)
-{
-    vsnoop_assert(frozen_, "setHistogram() before freeze()");
-    const SeriesMeta &m = meta_.at(id);
-    vsnoop_assert(m.kind == MetricKind::Histogram,
-                  "setHistogram() on non-histogram '", m.name, "'");
-    std::size_t base = m.slotBase;
-    for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i)
-        staging_[base + i].store(
-            static_cast<double>(hist.bucketHits(i)),
-            std::memory_order_relaxed);
-    staging_[base + LatencyHistogram::kNumBuckets].store(
-        static_cast<double>(hist.sum()), std::memory_order_relaxed);
-    staging_[base + LatencyHistogram::kNumBuckets + 1].store(
-        static_cast<double>(hist.count()), std::memory_order_relaxed);
 }
 
 void
 MetricsRegistry::publish()
 {
     vsnoop_assert(frozen_, "publish() before freeze()");
+    // Sources run before the seqlock opens, so a slow source (a
+    // histogram copy waiting on its owner's lock) never keeps
+    // readers spinning.
+    for (const SeriesMeta &m : meta_) {
+        if (m.kind != MetricKind::Histogram) {
+            staging_[m.slotBase] = m.source();
+            continue;
+        }
+        LatencyHistogram hist = m.histogram();
+        constexpr std::size_t buckets = LatencyHistogram::kNumBuckets;
+        for (std::size_t i = 0; i < buckets; ++i)
+            staging_[m.slotBase + i] =
+                static_cast<double>(hist.bucketHits(i));
+        staging_[m.slotBase + buckets] = static_cast<double>(hist.sum());
+        staging_[m.slotBase + buckets + 1] =
+            static_cast<double>(hist.count());
+    }
     // Seqlock write side (Boehm, "Can seqlocks get along with
     // programming language memory models?"): odd sequence brackets
     // the copy; the release fence orders the sequence bump before
@@ -195,9 +187,7 @@ MetricsRegistry::publish()
     seq_.store(s + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < staging_.size(); ++i)
-        published_[i].store(
-            staging_[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
+        published_[i].store(staging_[i], std::memory_order_relaxed);
     seq_.store(s + 2, std::memory_order_release);
 }
 
@@ -329,12 +319,12 @@ MetricsRegistry::renderPrometheus(const Snapshot &snap) const
     return out;
 }
 
-MetricsRegistry::Id
+void
 registerBuildInfo(MetricsRegistry &registry)
 {
-    return registry.addGauge(
+    registry.addGauge(
         "vsnoop_build_info",
-        "Build provenance; the value is always 1.",
+        "Build provenance; the value is always 1.", [] { return 1.0; },
         {{"version", toolVersion()},
          {"git", gitDescribe()},
          {"compiler", compilerId()},

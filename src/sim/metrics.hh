@@ -11,38 +11,35 @@
  * perturbing the simulation:
  *
  *  - Registration happens up front, single-threaded: every series
- *    (name + label set) is added before freeze(); after freeze()
- *    the series list is immutable, so readers never see the
- *    registry resize.
+ *    (name + label set) is added before freeze() together with the
+ *    source that reads its value; after freeze() the series list is
+ *    immutable, so readers never see the registry resize.
  *
- *  - Updates are relaxed atomic stores into a staging array of
- *    doubles — safe from any number of writer threads as long as
- *    each series has one writer (the sweep gives every run its own
- *    series).
+ *  - Publication is a seqlock over an array of doubles: one
+ *    designated publisher thread calls publish(), which calls every
+ *    source, then brackets the copy into the published array with
+ *    sequence-counter increments.  Readers copy the snapshot and
+ *    retry if the sequence changed mid-copy, so every snapshot()
+ *    result is one whole publish.  All shared accesses are atomic
+ *    (TSan-clean) and neither side ever blocks the other: the
+ *    writer never waits for readers, and a reader only re-copies
+ *    while a publish is in flight.
  *
- *  - Publication is a seqlock over a second array of doubles: one
- *    designated publisher thread calls publish(), which brackets a
- *    staging -> snapshot copy with sequence-counter increments.
- *    Readers copy the snapshot and retry if the sequence changed
- *    mid-copy, so every snapshot() result is a consistent point-in-
- *    time set.  All accesses are atomic (TSan-clean) and neither
- *    side ever blocks the other: the writer never waits for
- *    readers, and a reader only re-copies while a publish is in
- *    flight.
+ *  - Sources run only on the publisher thread, so a source may read
+ *    thread-confined state when its owner's thread is the publisher
+ *    (vsnoopsim publishes from the simulating thread); otherwise it
+ *    reads atomics or takes its owner's lock.  Series read one
+ *    after another are not promised to be consistent with each
+ *    other, but a histogram source returns one copy taken under its
+ *    owner's lock, so each histogram is internally consistent: the
+ *    finite buckets sum to at most the count and the +Inf bucket
+ *    equals it exactly.
  *
  * The registry deliberately stores only doubles: every simulator
  * quantity (counts, ticks, ratios) fits exactly up to 2^53, and
- * trivially-copyable values are what make the seqlock sound.
- *
- * Histogram series reuse the same machinery with more slots: one
- * registered histogram occupies LatencyHistogram::kNumBuckets + 2
- * consecutive value slots ([buckets..][sum][count]) in both arrays,
- * staged as one unit by setHistogram() from a caller-locked
- * LatencyHistogram copy.  Because the staging stores and the
- * publish() copy both happen on single threads (the publisher), a
- * snapshot always carries an internally consistent histogram: the
- * finite buckets sum to at most the count and the +Inf bucket
- * equals it exactly.
+ * trivially-copyable values are what make the seqlock sound.  A
+ * histogram occupies LatencyHistogram::kNumBuckets + 2 consecutive
+ * value slots ([buckets..][sum][count]).
  *
  * renderPrometheus() emits the Prometheus text exposition format
  * (version 0.0.4) for scraping via the embedded stats server's
@@ -56,9 +53,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/stats.hh"
 
 namespace vsnoop
 {
@@ -71,8 +71,6 @@ enum class MetricKind : std::uint8_t
     Histogram,
 };
 
-class LatencyHistogram;
-
 /** One name="value" pair attached to a series. */
 using MetricLabel = std::pair<std::string, std::string>;
 
@@ -84,6 +82,10 @@ class MetricsRegistry
 {
   public:
     using Id = std::size_t;
+    /** Reads one Counter/Gauge value (publisher thread only). */
+    using Source = std::function<double()>;
+    /** Reads one histogram: a copy taken under its owner's lock. */
+    using HistogramSource = std::function<LatencyHistogram()>;
 
     /**
      * A consistent point-in-time copy of every value slot.
@@ -104,48 +106,47 @@ class MetricsRegistry
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     /**
-     * Register one series.  Must be called before freeze().  The
-     * name must match the Prometheus grammar
-     * [a-zA-Z_:][a-zA-Z0-9_:]*, label names
-     * [a-zA-Z_][a-zA-Z0-9_]*; violations assert.  Series sharing a
-     * name (one family, many label sets) must be registered
-     * contiguously with the same kind and help text.
+     * Register one Counter or Gauge series and the source that
+     * reads its value.  Must be called before freeze().  The name
+     * must match the Prometheus grammar [a-zA-Z_:][a-zA-Z0-9_:]*,
+     * label names [a-zA-Z_][a-zA-Z0-9_]*; violations assert.
+     * Series sharing a name (one family, many label sets) must be
+     * registered contiguously with the same kind and help text.
+     *
+     * publish() calls @p source on the publisher thread, never
+     * here and never in snapshot(): whatever the source reads must
+     * outlive the last publish().
      */
     Id add(MetricKind kind, std::string name, std::string help,
-           std::vector<MetricLabel> labels = {});
+           Source source, std::vector<MetricLabel> labels = {});
 
-    /** Shorthands for the two kinds. */
-    Id addCounter(std::string name, std::string help,
+    /** Shorthands for the two scalar kinds; see add(). */
+    Id addCounter(std::string name, std::string help, Source source,
                   std::vector<MetricLabel> labels = {})
     {
         return add(MetricKind::Counter, std::move(name),
-                   std::move(help), std::move(labels));
+                   std::move(help), std::move(source),
+                   std::move(labels));
     }
-    Id addGauge(std::string name, std::string help,
+    Id addGauge(std::string name, std::string help, Source source,
                 std::vector<MetricLabel> labels = {})
     {
         return add(MetricKind::Gauge, std::move(name),
-                   std::move(help), std::move(labels));
+                   std::move(help), std::move(source),
+                   std::move(labels));
     }
 
     /**
-     * Register a histogram family member.  The name is the family
-     * base name; exposition appends _bucket/_sum/_count.  Stage
-     * values with setHistogram(), not set().
+     * Register a histogram family member; same rules as add().
+     * The name is the family base name; exposition appends
+     * _bucket/_sum/_count.
      */
     Id addHistogram(std::string name, std::string help,
-                    std::vector<MetricLabel> labels = {})
-    {
-        return add(MetricKind::Histogram, std::move(name),
-                   std::move(help), std::move(labels));
-    }
+                    HistogramSource source,
+                    std::vector<MetricLabel> labels = {});
 
-    /** End registration; set()/publish()/snapshot() become legal. */
+    /** End registration; publish()/snapshot() become legal. */
     void freeze();
-    bool frozen() const { return frozen_; }
-
-    std::size_t size() const { return meta_.size(); }
-    const std::string &name(Id id) const { return meta_.at(id).name; }
 
     /** First value slot of a series (== id while no histogram
      * precedes it, since Counter/Gauge series take one slot). */
@@ -154,28 +155,10 @@ class MetricsRegistry
     std::size_t slotCount(Id id) const { return meta_.at(id).slots; }
 
     /**
-     * Stage a new value for one Counter/Gauge series (relaxed
-     * atomic store; any thread, one writer per series).  Not
-     * visible to readers until the next publish().  Asserts on a
-     * histogram id — use setHistogram().
-     */
-    void set(Id id, double value);
-
-    /** Staged value of one Counter/Gauge series (relaxed load). */
-    double value(Id id) const;
-
-    /**
-     * Stage every slot of one histogram series from @p hist
-     * (bucket hit counts, sum, count).  Same writer contract as
-     * set(): one staging thread per series.  Pass a copy taken
-     * under the owner's lock for a consistent snapshot.
-     */
-    void setHistogram(Id id, const LatencyHistogram &hist);
-
-    /**
-     * Copy the staging array into the published snapshot under the
-     * seqlock.  Exactly one thread may call publish() at a time
-     * (the publisher role); it never blocks on readers.
+     * Call every source, then copy the values into the published
+     * snapshot under the seqlock.  Exactly one thread may call
+     * publish() at a time (the publisher role); it never blocks on
+     * readers.
      */
     void publish();
 
@@ -210,18 +193,31 @@ class MetricsRegistry
         std::size_t slotBase = 0;
         /** Slots occupied: 1, or kNumBuckets + 2 for histograms. */
         std::size_t slots = 1;
+        /** Exactly one is set, matching kind. */
+        Source source;
+        HistogramSource histogram;
     };
+
+    Id addSeries(SeriesMeta meta);
 
     std::vector<SeriesMeta> meta_;
     std::size_t totalSlots_ = 0;
     bool frozen_ = false;
-    /** Writer-facing values; relaxed stores from update threads. */
-    std::vector<std::atomic<double>> staging_;
+    /** Source values of the publish in progress (publisher only). */
+    std::vector<double> staging_;
     /** Reader-facing seqlock'd copy, published by publish(). */
     std::vector<std::atomic<double>> published_;
     /** Seqlock sequence: odd while a publish is copying. */
     std::atomic<std::uint64_t> seq_{0};
 };
+
+/** A source reading @p counter, which must outlive the last
+ *  publish(). */
+inline MetricsRegistry::Source
+atomicSource(const std::atomic<std::uint64_t> &counter)
+{
+    return [&counter] { return static_cast<double>(counter.load()); };
+}
 
 /** The /metrics Content-Type for the text exposition format. */
 extern const char *const kPrometheusContentType;
@@ -230,9 +226,9 @@ extern const char *const kPrometheusContentType;
  * Register the conventional build-provenance gauge: a
  * `vsnoop_build_info` series whose value is always 1 with
  * version/git/compiler/build_type labels from sim/version.hh.
- * Call before freeze(); the caller must set(id, 1.0) after.
+ * Call before freeze().
  */
-MetricsRegistry::Id registerBuildInfo(MetricsRegistry &registry);
+void registerBuildInfo(MetricsRegistry &registry);
 
 } // namespace vsnoop
 

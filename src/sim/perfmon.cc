@@ -1,50 +1,73 @@
 #include "sim/perfmon.hh"
 
-#include <algorithm>
-
-#include "sim/json.hh"
-#include "sim/logging.hh"
-#include "sim/metrics.hh"
-
 namespace vsnoop
 {
 
-void
-EventQueuePerf::merge(const EventQueuePerf &other)
+namespace
 {
-    schedules += other.schedules;
-    deschedules += other.deschedules;
-    wheelInserts += other.wheelInserts;
-    overflowInserts += other.overflowInserts;
-    maxWheelEntries = std::max(maxWheelEntries, other.maxWheelEntries);
-    maxOverflowEntries = std::max(maxOverflowEntries, other.maxOverflowEntries);
-    maxBucketDepth = std::max(maxBucketDepth, other.maxBucketDepth);
-    poolHighWater = std::max(poolHighWater, other.poolHighWater);
-    poolRefills += other.poolRefills;
-    poolReuses += other.poolReuses;
-    wheelOccupancy.merge(other.wheelOccupancy);
-    overflowOccupancy.merge(other.overflowOccupancy);
-}
 
-void
-EventQueuePerf::writeJson(JsonWriter &json) const
+using enum RowRule;
+
+constexpr Row<EventQueuePerf> kEventQueueRows[] = {
+    {"schedules", Sum, &EventQueuePerf::schedules,
+     "EventQueue schedule() calls across aggregated runs."},
+    {"deschedules", Sum, &EventQueuePerf::deschedules,
+     "EventQueue deschedule() calls that removed a pending event."},
+    {"wheel_inserts", Sum, &EventQueuePerf::wheelInserts,
+     "Entries appended to calendar-wheel buckets."},
+    {"overflow_inserts", Sum, &EventQueuePerf::overflowInserts,
+     "Entries pushed onto the far-future overflow heap."},
+    {"max_wheel_entries", Max, &EventQueuePerf::maxWheelEntries,
+     "High-water mark of entries resident in wheel buckets."},
+    {"max_overflow_entries", Max, &EventQueuePerf::maxOverflowEntries,
+     "High-water mark of the overflow heap."},
+    {"max_bucket_depth", Max, &EventQueuePerf::maxBucketDepth,
+     "Deepest same-tick FIFO bucket observed."},
+    {"pool_high_water", Max, &EventQueuePerf::poolHighWater,
+     "OwnedEvent pool slots allocated (the pool never shrinks)."},
+    {"pool_refills", Sum, &EventQueuePerf::poolRefills,
+     "One-shot event schedules that grew the pool."},
+    {"pool_reuses", Sum, &EventQueuePerf::poolReuses,
+     "One-shot event schedules served from the free list."},
+    {"wheel_occupancy", Hist, &EventQueuePerf::wheelOccupancy,
+     "Interval-sampled calendar-wheel occupancy (entries)."},
+    {"overflow_occupancy", Hist, &EventQueuePerf::overflowOccupancy,
+     "Interval-sampled overflow-heap occupancy (entries)."},
+};
+
+constexpr Row<FlatTablePerf> kFlatTableRows[] = {
+    {"probe_length", Hist, &FlatTablePerf::probeLength,
+     "FlatMap slots touched per probe (1 = home-slot hit)."},
+    {"growth_rehashes", Sum, &FlatTablePerf::growthRehashes,
+     "FlatMap capacity-doubling rehashes."},
+    {"tombstone_cleanups", Sum, &FlatTablePerf::tombstoneCleanups,
+     "FlatMap same-capacity tombstone-cleanup rehashes."},
+    {"max_entries", Max, &FlatTablePerf::maxEntries,
+     "High-water mark of FlatMap live entries."},
+    {"occupancy", Hist, &FlatTablePerf::occupancy,
+     "Interval-sampled FlatMap live-entry occupancy."},
+    // Sizes add: the aggregate of several tables (or several runs'
+    // copies of one table) reports combined footprint, and the load
+    // factor stays a true entries/slots ratio.
+    {"size", Sum, &FlatTablePerf::endSize, nullptr},
+    {"capacity", Sum, &FlatTablePerf::endCapacity, nullptr},
+    {"load_factor", Derived, &FlatTablePerf::loadFactor,
+     "End-of-run FlatMap entries/slots ratio."},
+};
+
+constexpr Row<MeshPerf> kMeshRows[] = {
+    {"send_backlog", Hist, &MeshPerf::sendBacklog,
+     "Cycles each mesh hop waited behind a busy link."},
+    {"leg_length", Hist, &MeshPerf::legLength,
+     "Hops walked per XY mesh leg."},
+};
+
+} // namespace
+
+std::span<const Row<EventQueuePerf>>
+EventQueuePerf::rows()
 {
-    json.beginObject();
-    json.key("schedules").value(schedules);
-    json.key("deschedules").value(deschedules);
-    json.key("wheel_inserts").value(wheelInserts);
-    json.key("overflow_inserts").value(overflowInserts);
-    json.key("max_wheel_entries").value(maxWheelEntries);
-    json.key("max_overflow_entries").value(maxOverflowEntries);
-    json.key("max_bucket_depth").value(maxBucketDepth);
-    json.key("pool_high_water").value(poolHighWater);
-    json.key("pool_refills").value(poolRefills);
-    json.key("pool_reuses").value(poolReuses);
-    json.key("wheel_occupancy");
-    wheelOccupancy.writeJson(json);
-    json.key("overflow_occupancy");
-    overflowOccupancy.writeJson(json);
-    json.endObject();
+    return kEventQueueRows;
 }
 
 double
@@ -55,65 +78,26 @@ FlatTablePerf::loadFactor() const
     return static_cast<double>(endSize) / static_cast<double>(endCapacity);
 }
 
-void
-FlatTablePerf::merge(const FlatTablePerf &other)
+std::span<const Row<FlatTablePerf>>
+FlatTablePerf::rows()
 {
-    probeLength.merge(other.probeLength);
-    growthRehashes += other.growthRehashes;
-    tombstoneCleanups += other.tombstoneCleanups;
-    maxEntries = std::max(maxEntries, other.maxEntries);
-    occupancy.merge(other.occupancy);
-    // Sizes add: the aggregate of several tables (or several runs'
-    // copies of one table) reports combined footprint, and the
-    // load factor stays a true entries/slots ratio.
-    endSize += other.endSize;
-    endCapacity += other.endCapacity;
+    return kFlatTableRows;
 }
 
-void
-FlatTablePerf::writeJson(JsonWriter &json) const
+std::span<const Row<MeshPerf>>
+MeshPerf::rows()
 {
-    json.beginObject();
-    json.key("probe_length");
-    probeLength.writeJson(json);
-    json.key("growth_rehashes").value(growthRehashes);
-    json.key("tombstone_cleanups").value(tombstoneCleanups);
-    json.key("max_entries").value(maxEntries);
-    json.key("occupancy");
-    occupancy.writeJson(json);
-    json.key("size").value(endSize);
-    json.key("capacity").value(endCapacity);
-    json.key("load_factor").value(loadFactor());
-    json.endObject();
-}
-
-void
-MeshPerf::merge(const MeshPerf &other)
-{
-    sendBacklog.merge(other.sendBacklog);
-    legLength.merge(other.legLength);
-}
-
-void
-MeshPerf::writeJson(JsonWriter &json) const
-{
-    json.beginObject();
-    json.key("send_backlog");
-    sendBacklog.writeJson(json);
-    json.key("leg_length");
-    legLength.writeJson(json);
-    json.endObject();
+    return kMeshRows;
 }
 
 void
 PerfMon::merge(const PerfMon &other)
 {
     enabled = enabled || other.enabled;
-    eventQueue.merge(other.eventQueue);
-    mshrs.merge(other.mshrs);
-    inflight.merge(other.inflight);
-    memoryLedger.merge(other.memoryLedger);
-    mesh.merge(other.mesh);
+    mergeRows(eventQueue, other.eventQueue);
+    for (const auto &[name, table] : kPerfTables)
+        mergeRows(this->*table, other.*table);
+    mergeRows(mesh, other.mesh);
 }
 
 void
@@ -121,190 +105,16 @@ PerfMon::writeJson(JsonWriter &json) const
 {
     json.beginObject();
     json.key("event_queue");
-    eventQueue.writeJson(json);
+    writeRows(json, eventQueue);
     json.key("tables").beginObject();
-    json.key("mshrs");
-    mshrs.writeJson(json);
-    json.key("inflight");
-    inflight.writeJson(json);
-    json.key("memory_ledger");
-    memoryLedger.writeJson(json);
+    for (const auto &[name, table] : kPerfTables) {
+        json.key(name);
+        writeRows(json, this->*table);
+    }
     json.endObject();
     json.key("mesh");
-    mesh.writeJson(json);
+    writeRows(json, mesh);
     json.endObject();
-}
-
-namespace
-{
-
-const char *const kTableNames[3] = {"mshrs", "inflight", "memory_ledger"};
-
-} // namespace
-
-void
-PerfExport::registerMetrics(MetricsRegistry &registry)
-{
-    vsnoop_assert(!metricsRegistered_,
-                  "PerfExport metrics registered twice");
-    metricsRegistered_ = true;
-
-    runsId_ = registry.addCounter(
-        "vsnoop_perf_runs_total",
-        "Runs whose internal perfmon counters were aggregated.");
-    schedulesId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_schedules_total",
-        "EventQueue schedule() calls across aggregated runs.");
-    deschedulesId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_deschedules_total",
-        "EventQueue deschedule() calls that removed a pending event.");
-    wheelInsertsId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_wheel_inserts_total",
-        "Entries appended to calendar-wheel buckets.");
-    overflowInsertsId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_overflow_inserts_total",
-        "Entries pushed onto the far-future overflow heap.");
-    maxWheelEntriesId_ = registry.addGauge(
-        "vsnoop_perf_event_queue_max_wheel_entries",
-        "High-water mark of entries resident in wheel buckets.");
-    maxOverflowEntriesId_ = registry.addGauge(
-        "vsnoop_perf_event_queue_max_overflow_entries",
-        "High-water mark of the overflow heap.");
-    maxBucketDepthId_ = registry.addGauge(
-        "vsnoop_perf_event_queue_max_bucket_depth",
-        "Deepest same-tick FIFO bucket observed.");
-    poolHighWaterId_ = registry.addGauge(
-        "vsnoop_perf_event_queue_pool_high_water",
-        "OwnedEvent pool slots allocated (the pool never shrinks).");
-    poolRefillsId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_pool_refills_total",
-        "One-shot event schedules that grew the pool.");
-    poolReusesId_ = registry.addCounter(
-        "vsnoop_perf_event_queue_pool_reuses_total",
-        "One-shot event schedules served from the free list.");
-    wheelOccupancyId_ = registry.addHistogram(
-        "vsnoop_perf_event_queue_wheel_occupancy",
-        "Interval-sampled calendar-wheel occupancy (entries).");
-    overflowOccupancyId_ = registry.addHistogram(
-        "vsnoop_perf_event_queue_overflow_occupancy",
-        "Interval-sampled overflow-heap occupancy (entries).");
-
-    // Series of one family must be registered contiguously, so lay
-    // the per-table series out family-major, one label set per
-    // table.
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].probeLength = registry.addHistogram(
-            "vsnoop_perf_table_probe_length",
-            "FlatMap slots touched per probe (1 = home-slot hit).",
-            {{"table", kTableNames[t]}});
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].occupancy = registry.addHistogram(
-            "vsnoop_perf_table_occupancy",
-            "Interval-sampled FlatMap live-entry occupancy.",
-            {{"table", kTableNames[t]}});
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].growthRehashes = registry.addCounter(
-            "vsnoop_perf_table_growth_rehashes_total",
-            "FlatMap capacity-doubling rehashes.",
-            {{"table", kTableNames[t]}});
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].tombstoneCleanups = registry.addCounter(
-            "vsnoop_perf_table_tombstone_cleanups_total",
-            "FlatMap same-capacity tombstone-cleanup rehashes.",
-            {{"table", kTableNames[t]}});
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].maxEntries = registry.addGauge(
-            "vsnoop_perf_table_max_entries",
-            "High-water mark of FlatMap live entries.",
-            {{"table", kTableNames[t]}});
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-        tableIds_[t].loadFactor = registry.addGauge(
-            "vsnoop_perf_table_load_factor",
-            "End-of-run FlatMap entries/slots ratio.",
-            {{"table", kTableNames[t]}});
-    }
-
-    sendBacklogId_ = registry.addHistogram(
-        "vsnoop_perf_mesh_send_backlog",
-        "Cycles each mesh hop waited behind a busy link.");
-    legLengthId_ = registry.addHistogram(
-        "vsnoop_perf_mesh_leg_length",
-        "Hops walked per XY mesh leg.");
-}
-
-void
-PerfExport::add(const PerfMon &perf)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    total_.merge(perf);
-    runs_++;
-}
-
-std::uint64_t
-PerfExport::runs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return runs_;
-}
-
-void
-PerfExport::stageMetrics(MetricsRegistry &registry) const
-{
-    vsnoop_assert(metricsRegistered_,
-                  "stageMetrics() before registerMetrics()");
-    // Copy under the lock, stage outside it: setHistogram touches
-    // many slots and must not hold the add() lock hostage.
-    PerfMon total;
-    std::uint64_t runs = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        total = total_;
-        runs = runs_;
-    }
-
-    registry.set(runsId_, static_cast<double>(runs));
-    const EventQueuePerf &eq = total.eventQueue;
-    registry.set(schedulesId_, static_cast<double>(eq.schedules));
-    registry.set(deschedulesId_, static_cast<double>(eq.deschedules));
-    registry.set(wheelInsertsId_, static_cast<double>(eq.wheelInserts));
-    registry.set(overflowInsertsId_,
-                 static_cast<double>(eq.overflowInserts));
-    registry.set(maxWheelEntriesId_,
-                 static_cast<double>(eq.maxWheelEntries));
-    registry.set(maxOverflowEntriesId_,
-                 static_cast<double>(eq.maxOverflowEntries));
-    registry.set(maxBucketDepthId_,
-                 static_cast<double>(eq.maxBucketDepth));
-    registry.set(poolHighWaterId_,
-                 static_cast<double>(eq.poolHighWater));
-    registry.set(poolRefillsId_, static_cast<double>(eq.poolRefills));
-    registry.set(poolReusesId_, static_cast<double>(eq.poolReuses));
-    registry.setHistogram(wheelOccupancyId_, eq.wheelOccupancy);
-    registry.setHistogram(overflowOccupancyId_, eq.overflowOccupancy);
-
-    const FlatTablePerf *tables[3] = {&total.mshrs, &total.inflight,
-                                      &total.memoryLedger};
-    for (std::size_t t = 0; t < 3; ++t) {
-        const FlatTablePerf &table = *tables[t];
-        const TableIds &ids = tableIds_[t];
-        registry.setHistogram(ids.probeLength, table.probeLength);
-        registry.setHistogram(ids.occupancy, table.occupancy);
-        registry.set(ids.growthRehashes,
-                     static_cast<double>(table.growthRehashes));
-        registry.set(ids.tombstoneCleanups,
-                     static_cast<double>(table.tombstoneCleanups));
-        registry.set(ids.maxEntries,
-                     static_cast<double>(table.maxEntries));
-        registry.set(ids.loadFactor, table.loadFactor());
-    }
-
-    registry.setHistogram(sendBacklogId_, total.mesh.sendBacklog);
-    registry.setHistogram(legLengthId_, total.mesh.legLength);
 }
 
 } // namespace vsnoop

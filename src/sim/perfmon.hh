@@ -23,26 +23,24 @@
  * byte-identical across --jobs values, and absent entirely when
  * monitoring is off.
  *
- * PerfExport aggregates finished runs' PerfMon blocks across a
- * sweep's worker threads (merge under a mutex at run end — the same
- * pattern as HostProfiler aggregation) and exposes them as
- * Prometheus series on the sweep/serve /metrics endpoint.
+ * Each flat block declares its fields once as a row table
+ * (sim/row_table.hh): the merge across runs, the JSON members and
+ * the vsnoop_perf_* series that RunTotals (system/run_totals.hh)
+ * exports on the sweep/serve /metrics endpoint all come from the
+ * rows.
  */
 
 #ifndef VSNOOP_SIM_PERFMON_HH_
 #define VSNOOP_SIM_PERFMON_HH_
 
 #include <cstdint>
-#include <mutex>
-#include <string>
+#include <span>
+#include <utility>
 
-#include "sim/stats.hh"
+#include "sim/row_table.hh"
 
 namespace vsnoop
 {
-
-class JsonWriter;
-class MetricsRegistry;
 
 /**
  * EventQueue health: wheel and overflow-heap pressure plus the
@@ -78,8 +76,7 @@ struct EventQueuePerf
     LatencyHistogram overflowOccupancy;
     /** @} */
 
-    void merge(const EventQueuePerf &other);
-    void writeJson(JsonWriter &json) const;
+    static std::span<const Row<EventQueuePerf>> rows();
 };
 
 /**
@@ -108,8 +105,7 @@ struct FlatTablePerf
     /** endSize / endCapacity (0 when the capacity is unknown). */
     double loadFactor() const;
 
-    void merge(const FlatTablePerf &other);
-    void writeJson(JsonWriter &json) const;
+    static std::span<const Row<FlatTablePerf>> rows();
 };
 
 /**
@@ -125,8 +121,7 @@ struct MeshPerf
     /** Hops walked per XY leg, one sample per leg. */
     LatencyHistogram legLength;
 
-    void merge(const MeshPerf &other);
-    void writeJson(JsonWriter &json) const;
+    static std::span<const Row<MeshPerf>> rows();
 };
 
 /**
@@ -149,62 +144,13 @@ struct PerfMon
     void writeJson(JsonWriter &json) const;
 };
 
-/**
- * Sweep-level perfmon aggregation for live telemetry.
- *
- * Worker threads add() each finished run's PerfMon (merge under the
- * internal mutex — off the simulation hot path); the registry's
- * single publisher thread stages the aggregate with stageMetrics()
- * before its publish().  registerMetrics() must run before
- * registry.freeze(), like every other series owner.
- */
-class PerfExport
-{
-  public:
-    /** Register the vsnoop_perf_* series.  Call once. */
-    void registerMetrics(MetricsRegistry &registry);
-
-    /** Fold one finished run's counters in (any thread). */
-    void add(const PerfMon &perf);
-
-    /** Runs aggregated so far. */
-    std::uint64_t runs() const;
-
-    /** Stage current aggregates (publisher thread only). */
-    void stageMetrics(MetricsRegistry &registry) const;
-
-  private:
-    mutable std::mutex mutex_;
-    PerfMon total_;
-    std::uint64_t runs_ = 0;
-
-    struct TableIds
-    {
-        std::size_t probeLength = 0;
-        std::size_t occupancy = 0;
-        std::size_t growthRehashes = 0;
-        std::size_t tombstoneCleanups = 0;
-        std::size_t maxEntries = 0;
-        std::size_t loadFactor = 0;
-    };
-
-    std::size_t runsId_ = 0;
-    std::size_t schedulesId_ = 0;
-    std::size_t deschedulesId_ = 0;
-    std::size_t wheelInsertsId_ = 0;
-    std::size_t overflowInsertsId_ = 0;
-    std::size_t maxWheelEntriesId_ = 0;
-    std::size_t maxOverflowEntriesId_ = 0;
-    std::size_t maxBucketDepthId_ = 0;
-    std::size_t poolHighWaterId_ = 0;
-    std::size_t poolRefillsId_ = 0;
-    std::size_t poolReusesId_ = 0;
-    std::size_t wheelOccupancyId_ = 0;
-    std::size_t overflowOccupancyId_ = 0;
-    TableIds tableIds_[3];
-    std::size_t sendBacklogId_ = 0;
-    std::size_t legLengthId_ = 0;
-    bool metricsRegistered_ = false;
+/** The FlatMaps under `results.perf.tables`: JSON key (also the
+ *  series' table label) and member. */
+inline constexpr std::pair<const char *, FlatTablePerf PerfMon::*>
+    kPerfTables[] = {
+        {"mshrs", &PerfMon::mshrs},
+        {"inflight", &PerfMon::inflight},
+        {"memory_ledger", &PerfMon::memoryLedger},
 };
 
 } // namespace vsnoop

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -157,22 +156,6 @@ StatSet::add(const std::string &name, const Distribution &dist)
     dists_[name] = &dist;
 }
 
-std::string
-StatSet::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, counter] : counters_)
-        os << name << " " << counter->value() << "\n";
-    for (const auto &[name, dist] : dists_) {
-        os << name << ".count " << dist->count() << "\n"
-           << name << ".mean " << dist->mean() << "\n"
-           << name << ".stddev " << dist->stddev() << "\n"
-           << name << ".min " << dist->min() << "\n"
-           << name << ".max " << dist->max() << "\n";
-    }
-    return os.str();
-}
-
 void
 LatencyHistogram::sample(std::uint64_t value)
 {
@@ -279,26 +262,6 @@ LatencyHistogram::writeJson(JsonWriter &json) const
     json.endObject();
 }
 
-std::string
-StatSet::dumpJson() const
-{
-    JsonWriter json;
-    json.beginObject();
-    for (const auto &[name, counter] : counters_)
-        json.key(name).value(counter->value());
-    for (const auto &[name, dist] : dists_) {
-        json.key(name).beginObject();
-        json.key("count").value(dist->count());
-        json.key("mean").value(dist->mean());
-        json.key("stddev").value(dist->stddev());
-        json.key("min").value(dist->min());
-        json.key("max").value(dist->max());
-        json.endObject();
-    }
-    json.endObject();
-    return json.str();
-}
-
 namespace
 {
 
@@ -320,51 +283,29 @@ sanitizeMetricName(const std::string &name)
 
 } // namespace
 
-StatSetExport::StatSetExport(const StatSet &set,
-                             MetricsRegistry &registry,
-                             const std::string &prefix)
-    : registry_(&registry)
-{
-    for (const auto &[name, counter] : set.counters_) {
-        Entry e;
-        e.counter = counter;
-        e.id = registry.addCounter(
-            prefix + sanitizeMetricName(name) + "_total",
-            "Simulator counter " + name + ".");
-        entries_.push_back(e);
-    }
-    for (const auto &[name, dist] : set.dists_) {
-        Entry e;
-        e.dist = dist;
-        std::string base = prefix + sanitizeMetricName(name);
-        e.id = registry.addGauge(base + "_count",
-                                 "Sample count of " + name + ".");
-        e.meanId = registry.addGauge(base + "_mean",
-                                     "Mean of " + name + ".");
-        e.minId = registry.addGauge(base + "_min",
-                                    "Minimum of " + name + ".");
-        e.maxId = registry.addGauge(base + "_max",
-                                    "Maximum of " + name + ".");
-        entries_.push_back(e);
-    }
-}
-
 void
-StatSetExport::update()
+StatSet::registerMetrics(MetricsRegistry &registry,
+                         const std::string &prefix) const
 {
-    vsnoop_assert(registry_ != nullptr,
-                  "update() on a default-constructed StatSetExport");
-    for (const Entry &e : entries_) {
-        if (e.counter != nullptr) {
-            registry_->set(e.id,
-                           static_cast<double>(e.counter->value()));
-        } else {
-            registry_->set(e.id,
-                           static_cast<double>(e.dist->count()));
-            registry_->set(e.meanId, e.dist->mean());
-            registry_->set(e.minId, e.dist->min());
-            registry_->set(e.maxId, e.dist->max());
-        }
+    for (const auto &[name, counter] : counters_) {
+        registry.addCounter(
+            prefix + sanitizeMetricName(name) + "_total",
+            "Simulator counter " + name + ".", [c = counter] {
+                return static_cast<double>(c->value());
+            });
+    }
+    for (const auto &[name, dist] : dists_) {
+        std::string base = prefix + sanitizeMetricName(name);
+        registry.addGauge(base + "_count", "Sample count of " + name + ".",
+                          [d = dist] {
+                              return static_cast<double>(d->count());
+                          });
+        registry.addGauge(base + "_mean", "Mean of " + name + ".",
+                          [d = dist] { return d->mean(); });
+        registry.addGauge(base + "_min", "Minimum of " + name + ".",
+                          [d = dist] { return d->min(); });
+        registry.addGauge(base + "_max", "Maximum of " + name + ".",
+                          [d = dist] { return d->max(); });
     }
 }
 

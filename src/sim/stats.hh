@@ -3,7 +3,7 @@
  * Lightweight statistics primitives.
  *
  * Components declare Counter / Distribution / Histogram members and
- * optionally register them with a StatSet for uniform dumping.  The
+ * optionally register them with a StatSet for live telemetry.  The
  * classes are deliberately simple: plain accumulation, no
  * thread-safety, and cheap increments on hot paths.  Every stat is
  * owned by the components of one SimSystem; under the sweep
@@ -199,12 +199,14 @@ class LatencyHistogram
     std::uint64_t max_ = 0;
 };
 
+class MetricsRegistry;
+
 /**
- * A named registry of counters for uniform text and JSON dumps.
- * Components register references; the StatSet never owns the
- * stats.  Names are unique across both kinds — registering the
- * same name twice (even once as a counter and once as a
- * distribution) is asserted on.
+ * A named set of counters and distributions exported as
+ * live-telemetry series (sim/metrics.hh).  Components register
+ * references; the StatSet never owns the stats.  Names are unique
+ * across both kinds — registering the same name twice (even once
+ * as a counter and once as a distribution) is asserted on.
  */
 class StatSet
 {
@@ -213,69 +215,21 @@ class StatSet
     void add(const std::string &name, const Distribution &dist);
 
     /**
-     * Render "name value" lines, sorted by name.  Distributions
-     * emit their full summary: count, mean, stddev, min, max.
+     * Register one series per stat, each kind sorted by name:
+     * counters as Prometheus counters `<prefix><name>_total`, then
+     * distributions as `<prefix><name>_{count,mean,min,max}` gauges,
+     * with stat-name characters outside the Prometheus grammar
+     * mapped to '_'.  The sources read the same thread-confined
+     * stats the owning SimSystem mutates, so only that system's
+     * thread may publish the registry, and the stats must outlive
+     * its last publish().
      */
-    std::string dump() const;
-
-    /**
-     * Render one JSON object: counters as integer members,
-     * distributions as nested {count, mean, stddev, min, max}
-     * objects.  Deterministic (sorted by name).
-     */
-    std::string dumpJson() const;
+    void registerMetrics(MetricsRegistry &registry,
+                         const std::string &prefix) const;
 
   private:
-    friend class StatSetExport;
-
     std::map<std::string, const Counter *> counters_;
     std::map<std::string, const Distribution *> dists_;
-};
-
-class MetricsRegistry;
-
-/**
- * Binds a StatSet to live-telemetry series (sim/metrics.hh).
- *
- * Construction registers one series per stat — counters as
- * Prometheus counters named `<prefix><name>_total`, distributions
- * as `<prefix><name>_{count,mean,min,max}` gauges — with stat-name
- * characters outside the Prometheus grammar mapped to '_'.
- * update() copies the current values into the registry's staging
- * area; the registry's publisher makes them visible.
- *
- * Threading: update() reads the same thread-confined stats the
- * owning SimSystem mutates, so only that system's thread may call
- * it (the same rule as every other stats read during a run).
- */
-class StatSetExport
-{
-  public:
-    StatSetExport() = default;
-
-    /** Register every stat in @p set; see the class comment. */
-    StatSetExport(const StatSet &set, MetricsRegistry &registry,
-                  const std::string &prefix);
-
-    /** Stage current values into the registry (no publish). */
-    void update();
-
-    std::size_t seriesCount() const { return entries_.size(); }
-
-  private:
-    struct Entry
-    {
-        const Counter *counter = nullptr;
-        const Distribution *dist = nullptr;
-        /** Registry id; for distributions: count/mean/min/max. */
-        std::size_t id = 0;
-        std::size_t meanId = 0;
-        std::size_t minId = 0;
-        std::size_t maxId = 0;
-    };
-
-    MetricsRegistry *registry_ = nullptr;
-    std::vector<Entry> entries_;
 };
 
 } // namespace vsnoop

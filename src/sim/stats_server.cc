@@ -221,7 +221,7 @@ StatsServer::route(std::string path, Handler handler)
 {
     vsnoop_assert(!running(),
                   "routes must be registered before start()");
-    vsnoop_assert(!metricsRegistered_,
+    vsnoop_assert(routeLatency_.empty(),
                   "routes must be registered before registerMetrics()");
     vsnoop_assert(!path.empty() && path[0] == '/',
                   "route path must start with '/'");
@@ -234,7 +234,7 @@ StatsServer::routePrefix(std::string method, std::string prefix,
 {
     vsnoop_assert(!running(),
                   "routes must be registered before start()");
-    vsnoop_assert(!metricsRegistered_,
+    vsnoop_assert(routeLatency_.empty(),
                   "routes must be registered before registerMetrics()");
     vsnoop_assert(!prefix.empty() && prefix[0] == '/',
                   "route prefix must start with '/'");
@@ -257,19 +257,21 @@ StatsServer::clientErrors(int status) const
 void
 StatsServer::registerMetrics(MetricsRegistry &registry)
 {
-    vsnoop_assert(!metricsRegistered_,
+    vsnoop_assert(routeLatency_.empty(),
                   "server metrics registered twice");
-    requestsTotalId_ = registry.addCounter(
+    registry.addCounter(
         "vsnoop_http_requests_total",
-        "HTTP requests whose headers were fully received.");
-    const char *errHelp =
-        "Client-error responses sent, by status code.";
-    resp400Id_ = registry.addCounter("vsnoop_http_responses_total",
-                                     errHelp, {{"code", "400"}});
-    resp408Id_ = registry.addCounter("vsnoop_http_responses_total",
-                                     errHelp, {{"code", "408"}});
-    resp413Id_ = registry.addCounter("vsnoop_http_responses_total",
-                                     errHelp, {{"code", "413"}});
+        "HTTP requests whose headers were fully received.",
+        [this] { return static_cast<double>(requestsServed()); });
+    for (int code : {400, 408, 413}) {
+        registry.addCounter(
+            "vsnoop_http_responses_total",
+            "Client-error responses sent, by status code.",
+            [this, code] {
+                return static_cast<double>(clientErrors(code));
+            },
+            {{"code", std::to_string(code)}});
+    }
 
     auto addRoute = [this](std::string key) {
         auto rl = std::make_unique<RouteLatency>();
@@ -283,33 +285,16 @@ StatsServer::registerMetrics(MetricsRegistry &registry)
     // Requests that never reach a handler: 404s, 405s, malformed
     // or over-limit requests cut off before dispatch.
     addRoute("other");
-    for (const auto &rl : routeLatency_)
-        routeLatencyIds_.push_back(registry.addHistogram(
+    for (const auto &rl : routeLatency_) {
+        registry.addHistogram(
             "vsnoop_http_request_duration_us",
             "Wall time from first byte read to response written, "
             "microseconds.",
-            {{"route", rl->key}}));
-    metricsRegistered_ = true;
-}
-
-void
-StatsServer::stageMetrics(MetricsRegistry &registry) const
-{
-    if (!metricsRegistered_)
-        return;
-    registry.set(requestsTotalId_, static_cast<double>(
-                                       requestsServed()));
-    registry.set(resp400Id_, static_cast<double>(clientErrors(400)));
-    registry.set(resp408Id_, static_cast<double>(clientErrors(408)));
-    registry.set(resp413Id_, static_cast<double>(clientErrors(413)));
-    for (std::size_t i = 0; i < routeLatency_.size(); ++i) {
-        const RouteLatency &rl = *routeLatency_[i];
-        LatencyHistogram copy;
-        {
-            std::lock_guard<std::mutex> lock(rl.mutex);
-            copy = rl.hist;
-        }
-        registry.setHistogram(routeLatencyIds_[i], copy);
+            [&latency = *rl] {
+                std::lock_guard<std::mutex> lock(latency.mutex);
+                return latency.hist;
+            },
+            {{"route", rl->key}});
     }
 }
 
@@ -344,7 +329,7 @@ StatsServer::recordAccess(const std::string &method,
                 LogField("bytes", static_cast<std::uint64_t>(bytes)),
                 LogField("dur_us", durUs),
                 LogField("request_id", requestId)});
-    if (metricsRegistered_ && routeIndex < routeLatency_.size()) {
+    if (routeIndex < routeLatency_.size()) {
         RouteLatency &rl = *routeLatency_[routeIndex];
         std::lock_guard<std::mutex> lock(rl.mutex);
         rl.hist.sample(durUs);

@@ -44,9 +44,9 @@
  * the structured access log record (sim/slog.hh) the server emits
  * per response: {"msg":"http_access","method","path","status",
  * "bytes","dur_us","request_id"}.  The error paths (400/408/413)
- * log and echo ids too.  registerMetrics()/stageMetrics() export
- * per-route request-latency histograms and client-error counters
- * through a MetricsRegistry (see those methods).
+ * log and echo ids too.  registerMetrics() exports per-route
+ * request-latency histograms and client-error counters through a
+ * MetricsRegistry.
  */
 
 #ifndef VSNOOP_SIM_STATS_SERVER_HH_
@@ -183,16 +183,10 @@ class StatsServer
      * {code="400"|"408"|"413"}, and one
      * vsnoop_http_request_duration_us histogram per route (labeled
      * route="GET /metrics"-style; unmatched/early-error requests
-     * land in route="other").
+     * land in route="other").  The server must outlive the
+     * registry's last publish().
      */
     void registerMetrics(MetricsRegistry &registry);
-
-    /**
-     * Stage current values into @p registry (publisher thread only,
-     * paired with registry.publish()).  No-op until
-     * registerMetrics() ran.
-     */
-    void stageMetrics(MetricsRegistry &registry) const;
 
     /** Stop accepting, join every thread, close the socket. */
     void stop();
@@ -252,12 +246,6 @@ class StatsServer
     /** Per-route latency: [exact routes][prefix routes]["other"].
      * Built by registerMetrics(); empty means metrics are off. */
     std::vector<std::unique_ptr<RouteLatency>> routeLatency_;
-    std::vector<MetricsRegistry::Id> routeLatencyIds_;
-    MetricsRegistry::Id requestsTotalId_ = 0;
-    MetricsRegistry::Id resp400Id_ = 0;
-    MetricsRegistry::Id resp408Id_ = 0;
-    MetricsRegistry::Id resp413Id_ = 0;
-    bool metricsRegistered_ = false;
 };
 
 /** Status line and decoded body of one client-side HTTP exchange. */

@@ -166,14 +166,20 @@ SweepHeartbeat::runsRunning() const
 }
 
 double
-SweepHeartbeat::runsPerSecond(std::uint64_t nowMs) const
+SweepHeartbeat::elapsedSeconds(std::uint64_t nowMs) const
 {
     std::uint64_t launched = launchedMs();
-    if (launched == 0 || nowMs <= launched)
-        return 0.0;
-    double elapsed =
-        static_cast<double>(nowMs - launched) / 1000.0;
-    return static_cast<double>(runsDone()) / elapsed;
+    return launched > 0 && nowMs > launched
+               ? static_cast<double>(nowMs - launched) / 1000.0
+               : 0.0;
+}
+
+double
+SweepHeartbeat::runsPerSecond(std::uint64_t nowMs) const
+{
+    double elapsed = elapsedSeconds(nowMs);
+    return elapsed > 0.0 ? static_cast<double>(runsDone()) / elapsed
+                         : 0.0;
 }
 
 double
@@ -206,152 +212,119 @@ SweepHeartbeat::stalledRuns(std::uint64_t nowMs,
     return stalled;
 }
 
-void
-SweepHeartbeat::registerMetrics(MetricsRegistry &registry)
+namespace
 {
-    vsnoop_assert(!metricsRegistered_,
-                  "heartbeat metrics registered twice");
-    metricsRegistered_ = true;
 
-    sweepIds_.runsTotal = registry.addGauge(
-        "vsnoop_sweep_runs_total", "Runs in the sweep matrix.");
-    sweepIds_.runsCompleted = registry.addGauge(
-        "vsnoop_sweep_runs_completed", "Runs finished so far.");
-    sweepIds_.runsRunning = registry.addGauge(
-        "vsnoop_sweep_runs_running", "Runs currently executing.");
-    sweepIds_.runsPerSecond = registry.addGauge(
-        "vsnoop_sweep_runs_per_second",
-        "Completed-run throughput since launch.");
-    sweepIds_.etaSeconds = registry.addGauge(
-        "vsnoop_sweep_eta_seconds",
-        "Estimated seconds until the sweep completes.");
-    sweepIds_.elapsedSeconds = registry.addGauge(
-        "vsnoop_sweep_elapsed_seconds",
-        "Wall seconds since the sweep launched.");
-    sweepIds_.stalledRuns = registry.addGauge(
-        "vsnoop_sweep_stalled_runs",
-        "Runs flagged by the no-forward-progress watchdog.");
-    sweepIds_.interrupted = registry.addGauge(
-        "vsnoop_sweep_interrupted",
-        "1 after SIGINT/SIGTERM stopped dispatch, else 0.");
-    sweepIds_.eventsTotal = registry.addCounter(
-        "vsnoop_sweep_events_total",
-        "Simulator events processed across all runs.");
-    sweepIds_.simTicksTotal = registry.addCounter(
-        "vsnoop_sweep_sim_ticks_total",
-        "Simulated ticks advanced across all runs.");
-
-    runIds_.resize(runs_.size());
-    auto labelsFor = [this](std::size_t i) {
-        const RunInfo &info = info_[i];
-        return std::vector<MetricLabel>{
-            {"run", std::to_string(i)},
-            {"app", info.app},
-            {"policy", info.policy},
-            {"relocation", info.relocation},
-            {"ro_policy", info.roPolicy},
-            {"seed", std::to_string(info.seed)},
-        };
-    };
-    // Register family-by-family (not run-by-run): series of one
-    // family must be contiguous for the exposition format.
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].state = registry.addGauge(
-            "vsnoop_run_state",
-            "Run lifecycle: 0 pending, 1 running, 2 done.",
-            labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].progressRatio = registry.addGauge(
-            "vsnoop_run_progress_ratio",
-            "Completed fraction of the run's access quota.",
-            labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].accesses = registry.addCounter(
-            "vsnoop_run_accesses_total",
-            "Accesses completed by the run's vCPUs.", labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].transactions = registry.addCounter(
-            "vsnoop_run_transactions_total",
-            "Coherence transactions issued by the run.",
-            labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].snoopLookups = registry.addCounter(
-            "vsnoop_run_snoop_lookups_total",
-            "Snoop tag lookups induced by the run.", labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].filterRate = registry.addGauge(
-            "vsnoop_run_filter_rate",
-            "Fraction of snoop requests the vCPU map filtered.",
-            labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].byteHops = registry.addCounter(
-            "vsnoop_run_traffic_byte_hops_total",
-            "Network traffic in byte-hops.", labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].tick = registry.addGauge(
-            "vsnoop_run_sim_tick", "Current simulated tick.",
-            labelsFor(i));
-    for (std::size_t i = 0; i < runs_.size(); ++i)
-        runIds_[i].events = registry.addCounter(
-            "vsnoop_run_events_total",
-            "Simulator events processed by the run.", labelsFor(i));
+/** One RunProgress counter as a series value. */
+template <std::uint64_t (RunProgress::*Field)() const>
+double
+countOf(const RunProgress &run)
+{
+    return static_cast<double>((run.*Field)());
 }
 
-void
-SweepHeartbeat::publishMetrics(MetricsRegistry &registry,
-                               std::uint64_t nowMs,
-                               std::uint64_t stallMs) const
+/** One per-run series family: its kind, name, help and reader. */
+struct RunSeries
 {
-    vsnoop_assert(metricsRegistered_,
-                  "publishMetrics() without registerMetrics()");
-    registry.set(sweepIds_.runsTotal,
-                 static_cast<double>(runs_.size()));
-    registry.set(sweepIds_.runsCompleted,
-                 static_cast<double>(runsDone()));
-    registry.set(sweepIds_.runsRunning,
-                 static_cast<double>(runsRunning()));
-    registry.set(sweepIds_.runsPerSecond, runsPerSecond(nowMs));
-    registry.set(sweepIds_.etaSeconds, etaSeconds(nowMs));
-    std::uint64_t launched = launchedMs();
-    registry.set(sweepIds_.elapsedSeconds,
-                 launched > 0 && nowMs > launched
-                     ? static_cast<double>(nowMs - launched) / 1000.0
-                     : 0.0);
-    registry.set(sweepIds_.stalledRuns,
-                 static_cast<double>(stalledRuns(nowMs, stallMs).size()));
-    registry.set(sweepIds_.interrupted, interrupted() ? 1.0 : 0.0);
-    std::uint64_t events_total = 0;
-    std::uint64_t ticks_total = 0;
-    for (const RunProgress &run : runs_) {
-        events_total += run.eventsProcessed();
-        ticks_total += run.tick();
-    }
-    registry.set(sweepIds_.eventsTotal,
-                 static_cast<double>(events_total));
-    registry.set(sweepIds_.simTicksTotal,
-                 static_cast<double>(ticks_total));
+    MetricKind kind;
+    const char *name;
+    const char *help;
+    double (*read)(const RunProgress &);
+};
 
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const RunProgress &run = runs_[i];
-        const RunIds &ids = runIds_[i];
-        registry.set(ids.state,
-                     static_cast<double>(
-                         static_cast<std::uint8_t>(run.state())));
-        registry.set(ids.progressRatio, run.progressRatio());
-        registry.set(ids.accesses,
-                     static_cast<double>(run.accessesIssued()));
-        registry.set(ids.transactions,
-                     static_cast<double>(run.transactions()));
-        registry.set(ids.snoopLookups,
-                     static_cast<double>(run.snoopLookups()));
-        registry.set(ids.filterRate, run.filterRate());
-        registry.set(ids.byteHops,
-                     static_cast<double>(run.trafficByteHops()));
-        registry.set(ids.tick, static_cast<double>(run.tick()));
-        registry.set(ids.events,
-                     static_cast<double>(run.eventsProcessed()));
+constexpr RunSeries kRunSeries[] = {
+    {MetricKind::Gauge, "vsnoop_run_state",
+     "Run lifecycle: 0 pending, 1 running, 2 done.",
+     [](const RunProgress &r) {
+         return static_cast<double>(static_cast<std::uint8_t>(r.state()));
+     }},
+    {MetricKind::Gauge, "vsnoop_run_progress_ratio",
+     "Completed fraction of the run's access quota.",
+     [](const RunProgress &r) { return r.progressRatio(); }},
+    {MetricKind::Counter, "vsnoop_run_accesses_total",
+     "Accesses completed by the run's vCPUs.",
+     countOf<&RunProgress::accessesIssued>},
+    {MetricKind::Counter, "vsnoop_run_transactions_total",
+     "Coherence transactions issued by the run.",
+     countOf<&RunProgress::transactions>},
+    {MetricKind::Counter, "vsnoop_run_snoop_lookups_total",
+     "Snoop tag lookups induced by the run.",
+     countOf<&RunProgress::snoopLookups>},
+    {MetricKind::Gauge, "vsnoop_run_filter_rate",
+     "Fraction of snoop requests the vCPU map filtered.",
+     [](const RunProgress &r) { return r.filterRate(); }},
+    {MetricKind::Counter, "vsnoop_run_traffic_byte_hops_total",
+     "Network traffic in byte-hops.",
+     countOf<&RunProgress::trafficByteHops>},
+    {MetricKind::Gauge, "vsnoop_run_sim_tick", "Current simulated tick.",
+     countOf<&RunProgress::tick>},
+    {MetricKind::Counter, "vsnoop_run_events_total",
+     "Simulator events processed by the run.",
+     countOf<&RunProgress::eventsProcessed>},
+};
+
+} // namespace
+
+void
+SweepHeartbeat::registerMetrics(MetricsRegistry &registry,
+                                std::uint64_t stallMs) const
+{
+    registry.addGauge("vsnoop_sweep_runs_total", "Runs in the sweep matrix.",
+                      [this] { return static_cast<double>(runs_.size()); });
+    registry.addGauge("vsnoop_sweep_runs_completed", "Runs finished so far.",
+                      [this] { return static_cast<double>(runsDone()); });
+    registry.addGauge("vsnoop_sweep_runs_running", "Runs currently executing.",
+                      [this] { return static_cast<double>(runsRunning()); });
+    registry.addGauge("vsnoop_sweep_runs_per_second",
+                      "Completed-run throughput since launch.",
+                      [this] { return runsPerSecond(steadyNowMs()); });
+    registry.addGauge("vsnoop_sweep_eta_seconds",
+                      "Estimated seconds until the sweep completes.",
+                      [this] { return etaSeconds(steadyNowMs()); });
+    registry.addGauge("vsnoop_sweep_elapsed_seconds",
+                      "Wall seconds since the sweep launched.",
+                      [this] { return elapsedSeconds(steadyNowMs()); });
+    registry.addGauge("vsnoop_sweep_stalled_runs",
+                      "Runs flagged by the no-forward-progress watchdog.",
+                      [this, stallMs] {
+                          return static_cast<double>(
+                              stalledRuns(steadyNowMs(), stallMs).size());
+                      });
+    registry.addGauge("vsnoop_sweep_interrupted",
+                      "1 after SIGINT/SIGTERM stopped dispatch, else 0.",
+                      [this] { return interrupted() ? 1.0 : 0.0; });
+    auto sumOf = [this](std::uint64_t (RunProgress::*field)() const) {
+        return [this, field] {
+            std::uint64_t total = 0;
+            for (const RunProgress &run : runs_)
+                total += (run.*field)();
+            return static_cast<double>(total);
+        };
+    };
+    registry.addCounter("vsnoop_sweep_events_total",
+                        "Simulator events processed across all runs.",
+                        sumOf(&RunProgress::eventsProcessed));
+    registry.addCounter("vsnoop_sweep_sim_ticks_total",
+                        "Simulated ticks advanced across all runs.",
+                        sumOf(&RunProgress::tick));
+
+    // Register family-by-family (not run-by-run): series of one
+    // family must be contiguous for the exposition format.
+    for (const RunSeries &series : kRunSeries) {
+        for (std::size_t i = 0; i < runs_.size(); ++i) {
+            const RunInfo &info = info_[i];
+            registry.add(series.kind, series.name, series.help,
+                         [&run = runs_[i], read = series.read] {
+                             return read(run);
+                         },
+                         {{"run", std::to_string(i)},
+                          {"app", info.app},
+                          {"policy", info.policy},
+                          {"relocation", info.relocation},
+                          {"ro_policy", info.roPolicy},
+                          {"seed", std::to_string(info.seed)}});
+        }
     }
-    registry.publish();
 }
 
 std::string
@@ -370,11 +343,6 @@ SweepHeartbeat::progressJson(std::uint64_t nowMs,
         broadcast += run.broadcastRequests();
         byte_hops += run.trafficByteHops();
     }
-    std::uint64_t launched = launchedMs();
-    double elapsed = launched > 0 && nowMs > launched
-                         ? static_cast<double>(nowMs - launched) / 1000.0
-                         : 0.0;
-
     JsonWriter json;
     json.beginObject();
     json.key("runs_total").value(static_cast<std::uint64_t>(
@@ -386,7 +354,7 @@ SweepHeartbeat::progressJson(std::uint64_t nowMs,
     json.key("runs_pending").value(static_cast<std::uint64_t>(
         runs_.size() - runsDone() - runsRunning()));
     json.key("interrupted").value(interrupted());
-    json.key("elapsed_seconds").value(elapsed);
+    json.key("elapsed_seconds").value(elapsedSeconds(nowMs));
     json.key("runs_per_second").value(runsPerSecond(nowMs));
     json.key("eta_seconds").value(etaSeconds(nowMs));
     json.key("accesses_issued").value(issued);

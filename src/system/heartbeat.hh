@@ -17,7 +17,7 @@
  * Running but its cell has not advanced for stallMs of wall time —
  * a deadlocked worker, a pathological configuration, or a starved
  * host).  The same view renders three ways: Prometheus series
- * (registerMetrics()/publishMetrics() onto sim/metrics.hh), the
+ * (registerMetrics() onto sim/metrics.hh), the
  * /progress and /runs JSON endpoints, and one-line stderr
  * summaries.
  */
@@ -169,6 +169,8 @@ class SweepHeartbeat
     /** @{ Sweep-level aggregates (reader side). */
     std::size_t runsDone() const;
     std::size_t runsRunning() const;
+    /** Wall seconds since markLaunched(); 0 before launch. */
+    double elapsedSeconds(std::uint64_t nowMs) const;
     double runsPerSecond(std::uint64_t nowMs) const;
     /** Seconds to finish at the current rate; 0 while unknowable. */
     double etaSeconds(std::uint64_t nowMs) const;
@@ -180,17 +182,13 @@ class SweepHeartbeat
     /**
      * Register the sweep's Prometheus series (sweep aggregates
      * plus per-run series labeled {run, app, policy, relocation,
-     * ro_policy, seed}).  Call once, before registry.freeze().
+     * ro_policy, seed}).  Call once, before registry.freeze(); the
+     * heartbeat must outlive the registry's last publish().  The
+     * rate, ETA, elapsed and stalled gauges read steadyNowMs() when
+     * published; stalled applies the @p stallMs watchdog.
      */
-    void registerMetrics(MetricsRegistry &registry);
-
-    /**
-     * Stage current values into the registry and publish a
-     * snapshot.  Must be called from the registry's single
-     * publisher thread; requires a prior registerMetrics().
-     */
-    void publishMetrics(MetricsRegistry &registry, std::uint64_t nowMs,
-                        std::uint64_t stallMs) const;
+    void registerMetrics(MetricsRegistry &registry,
+                         std::uint64_t stallMs) const;
 
     /** The /progress endpoint body (sweep-level view + watchdog). */
     std::string progressJson(std::uint64_t nowMs,
@@ -209,36 +207,6 @@ class SweepHeartbeat
     std::atomic<std::uint64_t> launchedMs_{0};
     std::atomic<bool> interrupted_{false};
 
-    /** @{ Registry ids (valid after registerMetrics()). */
-    struct SweepIds
-    {
-        MetricsRegistry::Id runsTotal = 0;
-        MetricsRegistry::Id runsCompleted = 0;
-        MetricsRegistry::Id runsRunning = 0;
-        MetricsRegistry::Id runsPerSecond = 0;
-        MetricsRegistry::Id etaSeconds = 0;
-        MetricsRegistry::Id elapsedSeconds = 0;
-        MetricsRegistry::Id stalledRuns = 0;
-        MetricsRegistry::Id interrupted = 0;
-        MetricsRegistry::Id eventsTotal = 0;
-        MetricsRegistry::Id simTicksTotal = 0;
-    };
-    struct RunIds
-    {
-        MetricsRegistry::Id state = 0;
-        MetricsRegistry::Id progressRatio = 0;
-        MetricsRegistry::Id accesses = 0;
-        MetricsRegistry::Id transactions = 0;
-        MetricsRegistry::Id snoopLookups = 0;
-        MetricsRegistry::Id filterRate = 0;
-        MetricsRegistry::Id byteHops = 0;
-        MetricsRegistry::Id tick = 0;
-        MetricsRegistry::Id events = 0;
-    };
-    SweepIds sweepIds_;
-    std::vector<RunIds> runIds_;
-    bool metricsRegistered_ = false;
-    /** @} */
 };
 
 /**

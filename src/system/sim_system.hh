@@ -292,9 +292,9 @@ class SimSystem
     /**
      * Register the system's statistics (coherence counters and
      * latency distributions, policy filter counters, memory
-     * activity) with a StatSet for uniform dumping or live metrics
-     * export (StatSetExport).  The set borrows references; it must
-     * not outlive this system.
+     * activity) with a StatSet for live metrics export
+     * (StatSet::registerMetrics()).  The set borrows references; it
+     * must not outlive this system.
      */
     void registerStats(StatSet &set) const;
     const SystemConfig &config() const { return config_; }

@@ -190,6 +190,7 @@ PageMon::snapshot() const
     s.truncatedLookups = truncatedLookups.value();
     s.truncatedPages = truncatedPages_;
     s.totalLookups = lookupsCharged.value();
+    s.crossVmLookups = crossVmLookups.value();
     std::uint64_t tracked = 0;
     for (const PageCell &cell : s.cells)
         tracked += cell.lookups;
@@ -215,92 +216,48 @@ PageMon::snapshot() const
     return s;
 }
 
-void
-PagesExport::registerMetrics(MetricsRegistry &registry)
+namespace
 {
-    runsId_ = registry.addCounter(
-        "vsnoop_pages_runs_total",
-        "Runs whose pagemon snapshot was aggregated.");
-    lookupsId_ = registry.addCounter(
-        "vsnoop_pages_lookups_total",
-        "Snoop lookups charged to pages across finished runs.");
-    truncatedId_ = registry.addCounter(
-        "vsnoop_pages_truncated_lookups_total",
-        "Lookups folded into the top-K truncated remainder.");
-    crossVmId_ = registry.addCounter(
-        "vsnoop_pages_cross_vm_lookups_total",
-        "Snoop deliveries landing outside the requester's VM.");
-    cowBreaksId_ = registry.addCounter(
-        "vsnoop_pages_cow_breaks_total",
-        "Copy-on-write breaks observed by pagemon.");
-    remapsId_ = registry.addCounter(
-        "vsnoop_pages_remaps_total",
-        "Content-scan relocation remaps observed by pagemon.");
-    typeChangesId_ = registry.addCounter(
-        "vsnoop_pages_type_changes_total",
-        "Sharing-type transitions observed by pagemon.");
-    mapEventsId_ = registry.addCounter(
-        "vsnoop_pages_map_events_total",
-        "Page map events observed by pagemon.");
-    hottestId_ = registry.addGauge(
-        "vsnoop_pages_hottest_lookups",
-        "Max over runs of the hottest page's snoop lookups.");
-    metricsRegistered_ = true;
+
+using enum RowRule;
+
+constexpr Row<PagesTotals> kPagesRows[] = {
+    {"runs", Sum, &PagesTotals::runs,
+     "Runs whose pagemon snapshot was aggregated."},
+    {"lookups", Sum, &PagesTotals::lookups,
+     "Snoop lookups charged to pages across finished runs."},
+    {"truncated_lookups", Sum, &PagesTotals::truncatedLookups,
+     "Lookups folded into the top-K truncated remainder."},
+    {"cross_vm_lookups", Sum, &PagesTotals::crossVmLookups,
+     "Snoop deliveries landing outside the requester's VM."},
+    {"cow_breaks", Sum, &PagesTotals::cowBreaks,
+     "Copy-on-write breaks observed by pagemon."},
+    {"remaps", Sum, &PagesTotals::remaps,
+     "Content-scan relocation remaps observed by pagemon."},
+    {"type_changes", Sum, &PagesTotals::typeChanges,
+     "Sharing-type transitions observed by pagemon."},
+    {"map_events", Sum, &PagesTotals::mapEvents,
+     "Page map events observed by pagemon."},
+    {"hottest_lookups", Max, &PagesTotals::hottestLookups,
+     "Max over runs of the hottest page's snoop lookups."},
+};
+
+} // namespace
+
+PagesTotals::PagesTotals(const PagesSnapshot &pages)
+    : runs(1), lookups(pages.totalLookups),
+      truncatedLookups(pages.truncatedLookups),
+      crossVmLookups(pages.crossVmLookups), cowBreaks(pages.cowBreaks),
+      remaps(pages.remaps), typeChanges(pages.typeChanges),
+      mapEvents(pages.mapEvents),
+      hottestLookups(pages.cells.empty() ? 0 : pages.cells.front().lookups)
+{
 }
 
-void
-PagesExport::add(const PagesSnapshot &pages)
+std::span<const Row<PagesTotals>>
+PagesTotals::rows()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    runs_++;
-    lookups_ += pages.totalLookups;
-    truncatedLookups_ += pages.truncatedLookups;
-    for (const PageCell &cell : pages.cells)
-        crossVm_ += cell.crossVm;
-    cowBreaks_ += pages.cowBreaks;
-    remaps_ += pages.remaps;
-    typeChanges_ += pages.typeChanges;
-    mapEvents_ += pages.mapEvents;
-    if (!pages.cells.empty())
-        hottestLookups_ =
-            std::max(hottestLookups_, pages.cells.front().lookups);
-}
-
-std::uint64_t
-PagesExport::runs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return runs_;
-}
-
-void
-PagesExport::stageMetrics(MetricsRegistry &registry) const
-{
-    vsnoop_assert(metricsRegistered_,
-                  "stageMetrics() before registerMetrics()");
-    std::uint64_t runs, lookups, truncated, cross_vm, cow_breaks;
-    std::uint64_t remaps, type_changes, map_events, hottest;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        runs = runs_;
-        lookups = lookups_;
-        truncated = truncatedLookups_;
-        cross_vm = crossVm_;
-        cow_breaks = cowBreaks_;
-        remaps = remaps_;
-        type_changes = typeChanges_;
-        map_events = mapEvents_;
-        hottest = hottestLookups_;
-    }
-    registry.set(runsId_, static_cast<double>(runs));
-    registry.set(lookupsId_, static_cast<double>(lookups));
-    registry.set(truncatedId_, static_cast<double>(truncated));
-    registry.set(crossVmId_, static_cast<double>(cross_vm));
-    registry.set(cowBreaksId_, static_cast<double>(cow_breaks));
-    registry.set(remapsId_, static_cast<double>(remaps));
-    registry.set(typeChangesId_, static_cast<double>(type_changes));
-    registry.set(mapEventsId_, static_cast<double>(map_events));
-    registry.set(hottestId_, static_cast<double>(hottest));
+    return kPagesRows;
 }
 
 } // namespace vsnoop

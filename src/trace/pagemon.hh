@@ -52,12 +52,12 @@
 #define VSNOOP_TRACE_PAGEMON_HH_
 
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "coherence/protocol.hh"
 #include "sim/flat_table.hh"
-#include "sim/metrics.hh"
+#include "sim/row_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "virt/page_event.hh"
@@ -114,6 +114,9 @@ struct PagesSnapshot
     std::uint64_t truncatedPages = 0;
     /** All lookups charged: sum(cells) + truncatedLookups. */
     std::uint64_t totalLookups = 0;
+    /** All remote deliveries outside the requester's VM, evicted
+     *  cells' included (telemetry only; not in run JSON). */
+    std::uint64_t crossVmLookups = 0;
     /** @{ Lifecycle transition counts (virt/page_event.hh kinds). */
     std::uint64_t mapEvents = 0;
     std::uint64_t unmapEvents = 0;
@@ -214,50 +217,29 @@ class PageMon : public PageEventListener
 };
 
 /**
- * Sweep-level pagemon aggregation for live telemetry
- * (vsnoop_pages_* series), mirroring PerfExport: worker threads
- * add() each finished run's snapshot under the internal mutex; the
- * registry's publisher thread stages with stageMetrics().
+ * The pages aggregates live telemetry folds over finished runs
+ * (vsnoop_pages_* series via RunTotals, system/run_totals.hh),
+ * declared as a row table (sim/row_table.hh).
  */
-class PagesExport
+struct PagesTotals
 {
-  public:
-    /** Register the vsnoop_pages_* series.  Call once, before
-     *  registry.freeze(). */
-    void registerMetrics(MetricsRegistry &registry);
+    /** Runs folded in (1 for one run's totals). */
+    std::uint64_t runs = 0;
+    std::uint64_t lookups = 0;
+    std::uint64_t truncatedLookups = 0;
+    std::uint64_t crossVmLookups = 0;
+    std::uint64_t cowBreaks = 0;
+    std::uint64_t remaps = 0;
+    std::uint64_t typeChanges = 0;
+    std::uint64_t mapEvents = 0;
+    /** The hottest page's lookups (max over runs). */
+    std::uint64_t hottestLookups = 0;
 
-    /** Fold one finished run's snapshot in (any thread). */
-    void add(const PagesSnapshot &pages);
+    PagesTotals() = default;
+    /** One run's totals. */
+    explicit PagesTotals(const PagesSnapshot &pages);
 
-    /** Runs aggregated so far. */
-    std::uint64_t runs() const;
-
-    /** Stage current aggregates (publisher thread only). */
-    void stageMetrics(MetricsRegistry &registry) const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::uint64_t runs_ = 0;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t truncatedLookups_ = 0;
-    std::uint64_t crossVm_ = 0;
-    std::uint64_t cowBreaks_ = 0;
-    std::uint64_t remaps_ = 0;
-    std::uint64_t typeChanges_ = 0;
-    std::uint64_t mapEvents_ = 0;
-    /** Max over runs of the hottest page's lookups. */
-    std::uint64_t hottestLookups_ = 0;
-
-    std::size_t runsId_ = 0;
-    std::size_t lookupsId_ = 0;
-    std::size_t truncatedId_ = 0;
-    std::size_t crossVmId_ = 0;
-    std::size_t cowBreaksId_ = 0;
-    std::size_t remapsId_ = 0;
-    std::size_t typeChangesId_ = 0;
-    std::size_t mapEventsId_ = 0;
-    std::size_t hottestId_ = 0;
-    bool metricsRegistered_ = false;
+    static std::span<const Row<PagesTotals>> rows();
 };
 
 } // namespace vsnoop

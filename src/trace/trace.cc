@@ -92,28 +92,19 @@ TraceSink::clear()
 
 void
 TraceSink::registerMetrics(MetricsRegistry &registry,
-                           const std::string &prefix)
+                           const std::string &prefix) const
 {
-    recordedMetric_ = registry.addCounter(
+    registry.addCounter(
         prefix + "trace_records_recorded_total",
-        "Trace records ever recorded (retained + dropped).");
-    droppedMetric_ = registry.addCounter(
+        "Trace records ever recorded (retained + dropped).",
+        [this] { return static_cast<double>(recorded()); });
+    registry.addCounter(
         prefix + "trace_records_dropped_total",
-        "Trace records overwritten because the ring was full.");
-    retainedMetric_ = registry.addGauge(
-        prefix + "trace_records_retained",
-        "Trace records currently retained in the ring.");
-    metricsRegistered_ = true;
-}
-
-void
-TraceSink::stageMetrics(MetricsRegistry &registry) const
-{
-    if (!metricsRegistered_)
-        return;
-    registry.set(recordedMetric_, static_cast<double>(recorded()));
-    registry.set(droppedMetric_, static_cast<double>(dropped()));
-    registry.set(retainedMetric_, static_cast<double>(size()));
+        "Trace records overwritten because the ring was full.",
+        [this] { return static_cast<double>(dropped()); });
+    registry.addGauge(prefix + "trace_records_retained",
+                      "Trace records currently retained in the ring.",
+                      [this] { return static_cast<double>(size()); });
 }
 
 } // namespace vsnoop

@@ -183,19 +183,15 @@ class TraceSink
     void clear();
 
     /**
-     * Register live-telemetry series for this sink's record counts
-     * under @p prefix (e.g. "vsnoop_sim_").  Call before
-     * registry.freeze(); stageMetrics() then stages the current
-     * counts on each publication cycle.  Staging follows the sink's
-     * own threading contract: the owning simulation thread stages,
-     * the registry's seqlock makes the values safe to read from the
-     * stats-server thread.
+     * Register live-telemetry series for this sink's recorded,
+     * dropped and retained counts under @p prefix (e.g.
+     * "vsnoop_sim_").  Call before registry.freeze().  The sources
+     * follow the sink's own threading contract: only the owning
+     * simulation thread may publish, and the sink must outlive the
+     * last publish().
      */
     void registerMetrics(MetricsRegistry &registry,
-                         const std::string &prefix);
-
-    /** Stage recorded/dropped/retained into the registered series. */
-    void stageMetrics(MetricsRegistry &registry) const;
+                         const std::string &prefix) const;
 
   private:
     std::size_t capacity_;
@@ -203,10 +199,6 @@ class TraceSink
     std::size_t head_ = 0;
     std::uint64_t recorded_ = 0;
     std::vector<TraceRecord> buffer_;
-    bool metricsRegistered_ = false;
-    MetricsRegistry::Id recordedMetric_ = 0;
-    MetricsRegistry::Id droppedMetric_ = 0;
-    MetricsRegistry::Id retainedMetric_ = 0;
 };
 
 } // namespace vsnoop

@@ -208,13 +208,13 @@ TEST(SweepHeartbeat, PublishesMetricsWithRunLabels)
     SweepMatrix m = smallMatrix();
     SweepHeartbeat hb(m);
     MetricsRegistry registry;
-    hb.registerMetrics(registry);
+    hb.registerMetrics(registry, 30000);
     registry.freeze();
 
     hb.markLaunched(0);
     hb.run(0).start(0);
     hb.run(0).update(sampleAt(1000), 100);
-    hb.publishMetrics(registry, 1000, 30000);
+    registry.publish();
 
     std::string text = registry.renderPrometheus();
     EXPECT_NE(text.find("vsnoop_sweep_runs_total 4\n"),
@@ -240,7 +240,7 @@ TEST(SweepHeartbeat, PublishesEventAndTickThroughputSeries)
     SweepMatrix m = smallMatrix();
     SweepHeartbeat hb(m);
     MetricsRegistry registry;
-    hb.registerMetrics(registry);
+    hb.registerMetrics(registry, 30000);
     registry.freeze();
 
     hb.markLaunched(0);
@@ -249,7 +249,7 @@ TEST(SweepHeartbeat, PublishesEventAndTickThroughputSeries)
     hb.run(1).start(0);
     hb.run(1).update(sampleAt(200), 100); // 600 events, tick 2000
     EXPECT_EQ(hb.run(0).eventsProcessed(), 3000u);
-    hb.publishMetrics(registry, 1000, 30000);
+    registry.publish();
 
     std::string text = registry.renderPrometheus();
     EXPECT_NE(text.find("vsnoop_sweep_events_total 3600\n"),
@@ -324,10 +324,10 @@ TEST(TelemetryRoutes, ServeMetricsProgressAndRuns)
     SweepMatrix m = smallMatrix();
     SweepHeartbeat hb(m);
     MetricsRegistry registry;
-    hb.registerMetrics(registry);
+    hb.registerMetrics(registry, 30000);
     registry.freeze();
     hb.markLaunched(steadyNowMs());
-    hb.publishMetrics(registry, steadyNowMs(), 30000);
+    registry.publish();
 
     StatsServer server;
     registerTelemetryRoutes(server, registry, hb, 30000);

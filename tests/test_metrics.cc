@@ -1,8 +1,8 @@
 /**
  * @file
- * MetricsRegistry tests: registration rules, the Prometheus text
- * exposition output, and seqlock snapshot consistency under a
- * concurrent reader.
+ * MetricsRegistry tests: registration rules, when value sources are
+ * read, the Prometheus text exposition output, and seqlock snapshot
+ * consistency under a concurrent reader.
  */
 
 #include <atomic>
@@ -24,16 +24,13 @@ namespace
 TEST(MetricsRegistry, ValuesRoundTripThroughStaging)
 {
     MetricsRegistry registry;
-    MetricsRegistry::Id a = registry.addCounter("a_total", "A.");
-    MetricsRegistry::Id b = registry.addGauge("b", "B.");
+    MetricsRegistry::Id a =
+        registry.addCounter("a_total", "A.", [] { return 41.0; });
+    MetricsRegistry::Id b =
+        registry.addGauge("b", "B.", [] { return -2.5; });
     registry.freeze();
 
-    registry.set(a, 41.0);
-    registry.set(b, -2.5);
-    EXPECT_EQ(registry.value(a), 41.0);
-    EXPECT_EQ(registry.value(b), -2.5);
-
-    // Staged values are invisible to snapshots until publish().
+    // Source values are invisible to snapshots until publish().
     MetricsRegistry::Snapshot before = registry.snapshot();
     EXPECT_EQ(before.sequence, 0u);
     EXPECT_EQ(before.values[a], 0.0);
@@ -46,26 +43,52 @@ TEST(MetricsRegistry, ValuesRoundTripThroughStaging)
     EXPECT_EQ(registry.publishes(), 1u);
 }
 
+TEST(MetricsRegistry, SourcesAreReadAtPublishOnly)
+{
+    int scalarReads = 0;
+    int histogramReads = 0;
+    MetricsRegistry registry;
+    registry.addCounter("vsnoop_reads_total", "Reads.", [&scalarReads] {
+        return static_cast<double>(++scalarReads);
+    });
+    registry.addHistogram("vsnoop_read_hist", "Reads.",
+                          [&histogramReads] {
+                              ++histogramReads;
+                              return LatencyHistogram();
+                          });
+    EXPECT_EQ(scalarReads, 0);
+    registry.freeze();
+    registry.snapshot();
+    registry.renderPrometheus();
+    EXPECT_EQ(scalarReads, 0);
+    EXPECT_EQ(histogramReads, 0);
+
+    registry.publish();
+    EXPECT_EQ(scalarReads, 1);
+    EXPECT_EQ(histogramReads, 1);
+    registry.snapshot();
+    EXPECT_NE(registry.renderPrometheus().find("vsnoop_reads_total 1\n"),
+              std::string::npos);
+    EXPECT_EQ(scalarReads, 1);
+
+    registry.publish();
+    EXPECT_EQ(scalarReads, 2);
+    EXPECT_EQ(histogramReads, 2);
+}
+
 TEST(MetricsRegistry, PrometheusExpositionGolden)
 {
     MetricsRegistry registry;
-    MetricsRegistry::Id total = registry.addCounter(
-        "vsnoop_requests_total", "Requests seen.");
-    MetricsRegistry::Id ok = registry.addCounter(
-        "vsnoop_by_code_total", "Requests by code.",
-        {{"code", "200"}});
-    MetricsRegistry::Id bad = registry.addCounter(
-        "vsnoop_by_code_total", "Requests by code.",
-        {{"code", "404"}});
-    MetricsRegistry::Id temp = registry.addGauge(
-        "vsnoop_temperature", "A gauge with an escaped label.",
-        {{"path", "a\\b\"c\nd"}});
+    registry.addCounter("vsnoop_requests_total", "Requests seen.",
+                        [] { return 7.0; });
+    registry.addCounter("vsnoop_by_code_total", "Requests by code.",
+                        [] { return 6.0; }, {{"code", "200"}});
+    registry.addCounter("vsnoop_by_code_total", "Requests by code.",
+                        [] { return 1.0; }, {{"code", "404"}});
+    registry.addGauge("vsnoop_temperature",
+                      "A gauge with an escaped label.",
+                      [] { return 0.5; }, {{"path", "a\\b\"c\nd"}});
     registry.freeze();
-
-    registry.set(total, 7.0);
-    registry.set(ok, 6.0);
-    registry.set(bad, 1.0);
-    registry.set(temp, 0.5);
     registry.publish();
 
     EXPECT_EQ(registry.renderPrometheus(),
@@ -85,7 +108,8 @@ TEST(MetricsRegistry, PrometheusExpositionGolden)
 TEST(MetricsRegistry, ExpositionBeforeFirstPublishIsAllZero)
 {
     MetricsRegistry registry;
-    registry.addGauge("vsnoop_zero", "Never published.");
+    registry.addGauge("vsnoop_zero", "Never published.",
+                      [] { return 5.0; });
     registry.freeze();
     EXPECT_EQ(registry.renderPrometheus(),
               "# HELP vsnoop_zero Never published.\n"
@@ -95,15 +119,15 @@ TEST(MetricsRegistry, ExpositionBeforeFirstPublishIsAllZero)
 
 TEST(MetricsRegistry, SpecialValuesUsePrometheusSpellings)
 {
+    using limits = std::numeric_limits<double>;
     MetricsRegistry registry;
-    MetricsRegistry::Id inf = registry.addGauge("vsnoop_inf", "Inf.");
-    MetricsRegistry::Id ninf =
-        registry.addGauge("vsnoop_ninf", "NInf.");
-    MetricsRegistry::Id nan = registry.addGauge("vsnoop_nan", "NaN.");
+    registry.addGauge("vsnoop_inf", "Inf.",
+                      [] { return limits::infinity(); });
+    registry.addGauge("vsnoop_ninf", "NInf.",
+                      [] { return -limits::infinity(); });
+    registry.addGauge("vsnoop_nan", "NaN.",
+                      [] { return limits::quiet_NaN(); });
     registry.freeze();
-    registry.set(inf, std::numeric_limits<double>::infinity());
-    registry.set(ninf, -std::numeric_limits<double>::infinity());
-    registry.set(nan, std::numeric_limits<double>::quiet_NaN());
     registry.publish();
 
     std::string text = registry.renderPrometheus();
@@ -119,9 +143,16 @@ TEST(MetricsRegistry, SpecialValuesUsePrometheusSpellings)
  */
 TEST(MetricsRegistry, SnapshotsAreConsistentUnderConcurrentReader)
 {
+    // Sources run on the publisher (this thread), so a plain
+    // variable is enough.
+    int generations = 0;
     MetricsRegistry registry;
-    MetricsRegistry::Id a = registry.addGauge("a", "Half.");
-    MetricsRegistry::Id b = registry.addGauge("b", "Double.");
+    MetricsRegistry::Id a = registry.addGauge(
+        "a", "Half.",
+        [&generations] { return static_cast<double>(generations); });
+    MetricsRegistry::Id b = registry.addGauge(
+        "b", "Double.",
+        [&generations] { return 2.0 * static_cast<double>(generations); });
     registry.freeze();
 
     constexpr int kMinGenerations = 20000;
@@ -141,12 +172,9 @@ TEST(MetricsRegistry, SnapshotsAreConsistentUnderConcurrentReader)
     // Publish until the reader has overlapped with enough
     // generations to make a torn read likely if seqlocking were
     // broken; the floor alone could finish before the reader runs.
-    int generations = 0;
     while (generations < kMinGenerations ||
            reads.load(std::memory_order_relaxed) < kMinReads) {
         ++generations;
-        registry.set(a, static_cast<double>(generations));
-        registry.set(b, 2.0 * static_cast<double>(generations));
         registry.publish();
     }
     done.store(true, std::memory_order_release);
@@ -174,7 +202,6 @@ TEST(TraceSinkMetrics, ExportsRecordedDroppedAndRetained)
     TraceRecord r;
     for (int i = 0; i < 3; ++i)
         sink.record(r);
-    sink.stageMetrics(registry);
     registry.publish();
 
     std::string text = registry.renderPrometheus();
@@ -188,18 +215,6 @@ TEST(TraceSinkMetrics, ExportsRecordedDroppedAndRetained)
     EXPECT_NE(text.find("vsnoop_sim_trace_records_retained 2\n"),
               std::string::npos)
         << text;
-}
-
-TEST(TraceSinkMetrics, StagingWithoutRegistrationIsANoOp)
-{
-    TraceSink sink(4);
-    MetricsRegistry registry;
-    registry.addGauge("vsnoop_unrelated", "Untouched.");
-    registry.freeze();
-    sink.stageMetrics(registry);
-    registry.publish();
-    EXPECT_NE(registry.renderPrometheus().find("vsnoop_unrelated 0\n"),
-              std::string::npos);
 }
 
 /**
@@ -236,19 +251,19 @@ parseHistogram(const std::string &text, const std::string &name,
 
 TEST(MetricsRegistry, HistogramExpositionIsCumulativeAndConsistent)
 {
+    LatencyHistogram hist;
     MetricsRegistry registry;
-    MetricsRegistry::Id id = registry.addHistogram(
-        "vsnoop_test_latency_us", "Test latencies.");
+    MetricsRegistry::Id id =
+        registry.addHistogram("vsnoop_test_latency_us", "Test latencies.",
+                              [&hist] { return hist; });
     registry.freeze();
     EXPECT_EQ(registry.slotCount(id),
               LatencyHistogram::kNumBuckets + 2);
 
-    LatencyHistogram hist;
     hist.sample(0.0);
     hist.sample(1.0);
     hist.sample(100.0);
     hist.sample(1e18); // lands in the clamping top bucket
-    registry.setHistogram(id, hist);
     registry.publish();
 
     std::string text = registry.renderPrometheus();
@@ -274,14 +289,15 @@ TEST(MetricsRegistry, HistogramExpositionIsCumulativeAndConsistent)
 
 TEST(MetricsRegistry, HistogramSnapshotsAreConsistentUnderWriter)
 {
-    // One thread samples and stages/publishes (the single-publisher
+    // One thread samples and publishes (the single-publisher
     // contract); a reader renders concurrently and checks every
     // snapshot for internal consistency: monotone buckets, +Inf ==
     // _count, and _sum exactly the sum of a prefix of the sampled
     // values (every published snapshot is some consistent prefix).
+    LatencyHistogram hist;
     MetricsRegistry registry;
-    MetricsRegistry::Id id = registry.addHistogram(
-        "vsnoop_test_hist", "Concurrency probe.");
+    registry.addHistogram("vsnoop_test_hist", "Concurrency probe.",
+                          [&hist] { return hist; });
     registry.freeze();
 
     std::atomic<bool> done{false};
@@ -306,10 +322,8 @@ TEST(MetricsRegistry, HistogramSnapshotsAreConsistentUnderWriter)
         }
     });
 
-    LatencyHistogram hist;
     for (int i = 0; i < 2000; ++i) {
         hist.sample(3.0);
-        registry.setHistogram(id, hist);
         registry.publish();
     }
     done.store(true, std::memory_order_release);
@@ -328,24 +342,20 @@ TEST(MetricsRegistry, HistogramsCoexistWithScalarSeries)
 {
     // Histograms occupy a slot range; scalar series registered
     // around one must keep reading their own values.
+    LatencyHistogram hist;
+    hist.sample(5.0);
     MetricsRegistry registry;
-    MetricsRegistry::Id before =
-        registry.addCounter("vsnoop_test_before_total", "Before.");
-    MetricsRegistry::Id hist_id =
-        registry.addHistogram("vsnoop_test_mid", "Middle.");
-    MetricsRegistry::Id after =
-        registry.addGauge("vsnoop_test_after", "After.");
+    registry.addCounter("vsnoop_test_before_total", "Before.",
+                        [] { return 7.0; });
+    MetricsRegistry::Id hist_id = registry.addHistogram(
+        "vsnoop_test_mid", "Middle.", [&hist] { return hist; });
+    MetricsRegistry::Id after = registry.addGauge(
+        "vsnoop_test_after", "After.", [] { return 9.0; });
     registry.freeze();
 
     EXPECT_EQ(registry.slotBase(after),
               registry.slotBase(hist_id) +
                   LatencyHistogram::kNumBuckets + 2);
-
-    LatencyHistogram hist;
-    hist.sample(5.0);
-    registry.set(before, 7.0);
-    registry.setHistogram(hist_id, hist);
-    registry.set(after, 9.0);
     registry.publish();
 
     std::string text = registry.renderPrometheus();
@@ -362,9 +372,8 @@ TEST(MetricsRegistry, HistogramsCoexistWithScalarSeries)
 TEST(MetricsRegistry, BuildInfoGaugeCarriesProvenanceLabels)
 {
     MetricsRegistry registry;
-    MetricsRegistry::Id id = registerBuildInfo(registry);
+    registerBuildInfo(registry);
     registry.freeze();
-    registry.set(id, 1.0);
     registry.publish();
 
     std::string text = registry.renderPrometheus();

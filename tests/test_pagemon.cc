@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "sim/json.hh"
+#include "sim/metrics.hh"
 #include "system/run_result.hh"
+#include "system/run_totals.hh"
 #include "system/sim_system.hh"
 #include "trace/pagemon.hh"
 #include "trace/trace.hh"
@@ -217,6 +219,41 @@ TEST(PageMonSystem, TotalsReconcileWithSnoopLookupsUnderWarmup)
     for (std::size_t t = 0; t < kNumPageTypes; ++t)
         census += r.pages.censusByType[t];
     EXPECT_GT(census, 0u);
+}
+
+TEST(PageMonSystem, CrossVmTotalSurvivesTopKEviction)
+{
+    // With one tracked page nearly every cross-VM delivery lands in
+    // a cell that is later evicted; the run totals must still count
+    // all of them, like PageMon's own counter.
+    SystemConfig cfg = smallConfig();
+    cfg.policy = PolicyKind::VirtualSnoop;
+    cfg.migrationPeriod = 30000;
+    cfg.pages = true;
+    cfg.pagesTop = 1;
+    SimSystem sys(cfg, quickApp());
+    sys.run();
+    SystemResults r = sys.results();
+    const std::uint64_t cross_vm = sys.pagemon()->crossVmLookups.value();
+    std::uint64_t tracked = 0;
+    for (const PageCell &cell : r.pages.cells)
+        tracked += cell.crossVm;
+    ASSERT_GT(r.pages.truncatedLookups, 0u);
+    ASSERT_LT(tracked, cross_vm);
+    EXPECT_EQ(r.pages.crossVmLookups, cross_vm);
+
+    MetricsRegistry registry;
+    RunTotals totals;
+    totals.registerMetrics(registry, false, true);
+    registry.freeze();
+    totals.add(r);
+    registry.publish();
+    const std::string name = "vsnoop_pages_cross_vm_lookups_total ";
+    std::string text = registry.renderPrometheus();
+    std::size_t at = text.find("\n" + name);
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(std::stod(text.substr(at + 1 + name.size())),
+              static_cast<double>(cross_vm));
 }
 
 TEST(PageMonSystem, DisabledMonitorLeavesResultsEmpty)

@@ -7,6 +7,7 @@
  * matrix.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -136,6 +137,41 @@ TEST(ResultStore, EvictsLeastRecentlyUsedBeyondTheByteCap)
     EXPECT_FALSE(store.get("k2").has_value());
     EXPECT_TRUE(store.get("k1").has_value());
     EXPECT_TRUE(store.get("k3").has_value());
+    fs::remove_all(dir);
+}
+
+TEST(ResultStore, EvictionUnlinksTheVictimObject)
+{
+    fs::path dir = freshDir("evict_unlink");
+    auto objects = [&dir] {
+        std::vector<std::string> names;
+        for (const auto &entry : fs::directory_iterator(dir / "objects"))
+            names.push_back(entry.path().filename().string());
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+    const std::string record(28, 'r');
+    ResultStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(dir.string(), 70, &error)) << error;
+
+    store.put("k1", record);
+    std::vector<std::string> first = objects();
+    ASSERT_EQ(first.size(), 1u);
+    store.put("k2", record);
+    std::vector<std::string> both = objects();
+    ASSERT_EQ(both.size(), 2u);
+    std::string k2 = both[0] == first[0] ? both[1] : both[0];
+
+    // k2 is now least recently used; inserting k3 evicts it, and
+    // its object file must go with it.
+    EXPECT_TRUE(store.get("k1").has_value());
+    store.put("k3", record);
+    EXPECT_EQ(store.evictions(), 1u);
+    std::vector<std::string> after = objects();
+    EXPECT_EQ(after.size(), 2u);
+    EXPECT_FALSE(fs::exists(dir / "objects" / k2));
+    EXPECT_TRUE(fs::exists(dir / "objects" / first[0]));
     fs::remove_all(dir);
 }
 
@@ -647,7 +683,6 @@ TEST(JobQueue, QueueWaitHistogramReconcilesWithSubmissions)
     ASSERT_NE(second, 0u) << error;
     awaitTerminal(queue, second);
 
-    queue.stageMetrics(registry);
     registry.publish();
     std::string text = registry.renderPrometheus();
     // Every submitted job left Queued exactly once, and every

@@ -195,45 +195,6 @@ TEST(Histogram, EmptyCdf)
     EXPECT_TRUE(h.cdfPoints().empty());
 }
 
-TEST(StatSet, DumpsSortedNames)
-{
-    StatSet set;
-    Counter b, a;
-    a.inc(3);
-    b.inc(7);
-    set.add("zeta", b);
-    set.add("alpha", a);
-    std::string dump = set.dump();
-    EXPECT_NE(dump.find("alpha 3"), std::string::npos);
-    EXPECT_NE(dump.find("zeta 7"), std::string::npos);
-    EXPECT_LT(dump.find("alpha"), dump.find("zeta"));
-}
-
-TEST(StatSet, IncludesDistributions)
-{
-    StatSet set;
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    set.add("lat", d);
-    std::string dump = set.dump();
-    EXPECT_NE(dump.find("lat.mean 3"), std::string::npos);
-    EXPECT_NE(dump.find("lat.count 2"), std::string::npos);
-}
-
-TEST(StatSet, DumpsFullDistributionSummary)
-{
-    StatSet set;
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    set.add("lat", d);
-    std::string dump = set.dump();
-    EXPECT_NE(dump.find("lat.min 2"), std::string::npos);
-    EXPECT_NE(dump.find("lat.max 4"), std::string::npos);
-    EXPECT_NE(dump.find("lat.stddev 1"), std::string::npos);
-}
-
 TEST(StatSet, DuplicateNamesAssert)
 {
     StatSet set;
@@ -245,22 +206,6 @@ TEST(StatSet, DuplicateNamesAssert)
     EXPECT_DEATH(set.add("snoops", d), "duplicate stat name");
     set.add("latency", d);
     EXPECT_DEATH(set.add("latency", a), "duplicate stat name");
-}
-
-TEST(StatSet, DumpJsonIsStructured)
-{
-    StatSet set;
-    Counter c;
-    c.inc(7);
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    set.add("snoops", c);
-    set.add("lat", d);
-    EXPECT_EQ(set.dumpJson(),
-              "{\"snoops\":7,"
-              "\"lat\":{\"count\":2,\"mean\":3,\"stddev\":1,"
-              "\"min\":2,\"max\":4}}");
 }
 
 TEST(LatencyHistogram, BucketBoundariesAreLog2)

@@ -314,11 +314,16 @@ main(int argc, char **argv)
     store.registerMetrics(registry);
     queue.registerMetrics(registry);
     server.registerMetrics(registry);
-    MetricsRegistry::Id build_info_id = registerBuildInfo(registry);
-    MetricsRegistry::Id uptime_id = registry.addGauge(
-        "vsnoop_uptime_seconds", "Seconds since the server started");
+    registerBuildInfo(registry);
+    const auto started = std::chrono::steady_clock::now();
+    registry.addGauge("vsnoop_uptime_seconds",
+                      "Seconds since the server started", [started] {
+                          return std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() -
+                                     started)
+                              .count();
+                      });
     registry.freeze();
-    registry.set(build_info_id, 1.0);
 
     if (!server.start(addr, &error))
         die("--addr " + addr + ": " + error);
@@ -330,17 +335,8 @@ main(int argc, char **argv)
     installSignalHandlers();
 
     // Main thread doubles as the registry's single publisher.
-    const auto started = std::chrono::steady_clock::now();
     std::uint64_t cycles = 0;
     while (g_signal == 0) {
-        store.stageMetrics(registry);
-        queue.stageMetrics(registry);
-        server.stageMetrics(registry);
-        registry.set(
-            uptime_id,
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - started)
-                .count());
         registry.publish();
         // Age out stale cache objects roughly once a minute.
         if (store_max_age_s > 0 && ++cycles % 240 == 0)

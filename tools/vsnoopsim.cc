@@ -186,16 +186,15 @@ main(int argc, char **argv)
         const std::uint64_t stall_ms = 30000;
         SweepHeartbeat heartbeat(matrix);
         MetricsRegistry registry;
-        heartbeat.registerMetrics(registry);
+        heartbeat.registerMetrics(registry, stall_ms);
 
         SimSystem system(cfg, *app);
         if (want_profile)
             system.setProfiler(&profiler);
         StatSet stats;
         system.registerStats(stats);
-        StatSetExport stats_export(stats, registry, "vsnoop_sim_");
-        TraceSink *trace = system.trace();
-        if (trace != nullptr)
+        stats.registerMetrics(registry, "vsnoop_sim_");
+        if (const TraceSink *trace = system.trace())
             trace->registerMetrics(registry, "vsnoop_sim_");
         registry.freeze();
 
@@ -207,9 +206,11 @@ main(int argc, char **argv)
         std::cerr << "vsnoopsim: listening on http://"
                   << server.address() << "\n";
 
-        // The simulating thread is the registry's single publisher:
-        // publication is throttled by wall clock, which only gates
-        // visibility — never simulation — so determinism holds.
+        // The simulating thread is the registry's single publisher
+        // (the StatSet and trace sources read its thread-confined
+        // stats): publication is throttled by wall clock, which
+        // only gates visibility — never simulation — so
+        // determinism holds.
         RunProgress &cell = heartbeat.run(0);
         heartbeat.markLaunched(steadyNowMs());
         cell.start(steadyNowMs());
@@ -221,17 +222,11 @@ main(int argc, char **argv)
                 if (!sample.finished && now - last_publish < 100)
                     return;
                 last_publish = now;
-                stats_export.update();
-                if (trace != nullptr)
-                    trace->stageMetrics(registry);
-                heartbeat.publishMetrics(registry, now, stall_ms);
+                registry.publish();
             });
         system.run();
         cell.finish(steadyNowMs());
-        stats_export.update();
-        if (trace != nullptr)
-            trace->stageMetrics(registry);
-        heartbeat.publishMetrics(registry, steadyNowMs(), stall_ms);
+        registry.publish();
 
         run = collectResults(system, app->name);
         server.stop();

@@ -41,6 +41,7 @@
 #include "sim/profiler.hh"
 #include "sim/stats_server.hh"
 #include "system/heartbeat.hh"
+#include "system/run_totals.hh"
 #include "system/sweep.hh"
 
 using namespace vsnoop;
@@ -405,19 +406,13 @@ main(int argc, char **argv)
     const std::uint64_t stall_ms = stall_secs * 1000;
     SweepHeartbeat heartbeat(matrix);
     MetricsRegistry registry;
-    heartbeat.registerMetrics(registry);
-    // With --perf, each completed run's internals counters fold
-    // into an aggregate the monitor thread exports as
-    // vsnoop_perf_* series; the add happens on worker threads
-    // under the exporter's own lock, never touching simulation.
-    PerfExport perf_export;
-    if (matrix.base.perf)
-        perf_export.registerMetrics(registry);
-    // Same pattern for --pages: per-run page-attribution snapshots
-    // aggregate into vsnoop_pages_* series.
-    PagesExport pages_export;
-    if (matrix.base.pages)
-        pages_export.registerMetrics(registry);
+    heartbeat.registerMetrics(registry, stall_ms);
+    // With --perf / --pages, each completed run's perfmon counters
+    // and page-attribution totals fold into vsnoop_perf_* /
+    // vsnoop_pages_* series; the add happens on worker threads
+    // under the totals' own lock, never touching simulation.
+    RunTotals totals;
+    totals.registerMetrics(registry, matrix.base.perf, matrix.base.pages);
     registry.freeze();
 
     StatsServer server;
@@ -449,11 +444,7 @@ main(int argc, char **argv)
                     break;
             }
             std::uint64_t now = steadyNowMs();
-            if (matrix.base.perf)
-                perf_export.stageMetrics(registry);
-            if (matrix.base.pages)
-                pages_export.stageMetrics(registry);
-            heartbeat.publishMetrics(registry, now, stall_ms);
+            registry.publish();
             if (stall_ms > 0) {
                 for (std::size_t i = 0; i < heartbeat.runCount(); ++i) {
                     bool stalled = heartbeat.run(i).stalled(now, stall_ms);
@@ -478,11 +469,7 @@ main(int argc, char **argv)
         }
         // Final publish so a post-completion scrape sees the end
         // state (every run done, rate and ETA settled).
-        if (matrix.base.perf)
-            perf_export.stageMetrics(registry);
-        if (matrix.base.pages)
-            pages_export.stageMetrics(registry);
-        heartbeat.publishMetrics(registry, steadyNowMs(), stall_ms);
+        registry.publish();
     });
 
     auto start = std::chrono::steady_clock::now();
@@ -491,10 +478,7 @@ main(int argc, char **argv)
         matrix, jobs, want_profile ? &profiler : nullptr, &heartbeat,
         [] { return g_signal != 0; },
         [&](std::size_t, const RunResult &result) {
-            if (result.results.perf.enabled)
-                perf_export.add(result.results.perf);
-            if (result.results.pages.enabled)
-                pages_export.add(result.results.pages);
+            totals.add(result.results);
         });
     auto elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
