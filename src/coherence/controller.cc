@@ -39,12 +39,17 @@ CoherenceController::CoherenceController(CoherenceSystem &system,
       cache_(geometry.sizeBytes, geometry.ways), residence_(num_vms)
 {
     cache_.setObserver(&residence_);
-    // In-order cores block on misses, so the MSHR table stays tiny.
-    // The reservation is deliberately larger than the live set:
-    // every completed transaction leaves a tombstone, and the table
-    // rehashes in place once tombstones reach the load bound, so
-    // extra headroom amortizes that cleanup over more transactions.
+    // In-order cores block on misses, so one MSHR is live at a time;
+    // the pool reserves that one slot and grows only if a caller
+    // overlaps misses on this core.  The index reservation is
+    // deliberately larger than the live set: every completed
+    // transaction leaves a tombstone, and the index rehashes in place
+    // once tombstones reach the load bound, so extra headroom
+    // amortizes that cleanup over more transactions.  An index slot
+    // is 12 bytes, so the 256 reserved cost 3 KiB where 256 whole
+    // MSHRs would cost 50 KiB.
     mshrs_.reserve(128);
+    mshrPool_.reserve(1);
     if (geometry.l1SizeBytes > 0)
         l1_.emplace(geometry.l1SizeBytes, geometry.l1Ways);
 }
@@ -79,6 +84,30 @@ CoherenceController::fillL1(HostAddr line_addr, VmId vm, PageType type)
                  /*owner=*/false, /*dirty=*/false);
 }
 
+CoherenceController::Mshr *
+CoherenceController::findMshr(std::uint64_t line_num)
+{
+    const std::uint32_t *slot = mshrs_.find(line_num);
+    return slot == nullptr ? nullptr : &mshrPool_[*slot];
+}
+
+const CoherenceController::Mshr *
+CoherenceController::findMshr(std::uint64_t line_num) const
+{
+    const std::uint32_t *slot = mshrs_.find(line_num);
+    return slot == nullptr ? nullptr : &mshrPool_[*slot];
+}
+
+void
+CoherenceController::eraseMshr(Mshr &mshr)
+{
+    auto slot = static_cast<std::uint32_t>(&mshr - mshrPool_.data());
+    mshrs_.erase(mshr.access.addr.lineNum());
+    // Reset eagerly so the callback's captures are released now.
+    mshr = Mshr{};
+    freeMshrs_.push_back(slot);
+}
+
 bool
 CoherenceController::hasMshr(HostAddr line) const
 {
@@ -89,7 +118,7 @@ void
 CoherenceController::sumMshrTokens(HostAddr line, std::uint32_t &tokens,
                                    std::uint32_t &owners) const
 {
-    const Mshr *mshr = mshrs_.find(line.lineAligned().lineNum());
+    const Mshr *mshr = findMshr(line.lineAligned().lineNum());
     if (mshr == nullptr || mshr->upgrade)
         return;
     tokens += mshr->tokens;
@@ -100,7 +129,7 @@ CoherenceController::sumMshrTokens(HostAddr line, std::uint32_t &tokens,
 void
 CoherenceController::collectMshrLines(std::vector<std::uint64_t> &out) const
 {
-    mshrs_.forEach([&out](std::uint64_t line_num, const Mshr &) {
+    mshrs_.forEach([&out](std::uint64_t line_num, std::uint32_t) {
         out.push_back(line_num);
     });
 }
@@ -192,7 +221,15 @@ CoherenceController::access(const MemAccess &access,
     if (PageMon *pm = system_.pagemon())
         pm->miss(line_addr, access.vm);
 
-    Mshr mshr;
+    std::uint32_t slot;
+    if (!freeMshrs_.empty()) {
+        slot = freeMshrs_.back();
+        freeMshrs_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(mshrPool_.size());
+        mshrPool_.emplace_back();
+    }
+    Mshr &mshr = mshrPool_[slot];
     mshr.access = access;
     mshr.access.addr = line_addr;
     mshr.callback = std::move(callback);
@@ -213,10 +250,9 @@ CoherenceController::access(const MemAccess &access,
         t->record(traceBase(TraceEventKind::RequestIssue, eq.now(),
                             core_, mshr.access, mshr.kind));
     }
-    auto [slot, inserted] =
-        mshrs_.emplace(line_addr.lineNum(), std::move(mshr));
+    bool inserted = mshrs_.emplace(line_addr.lineNum(), slot).second;
     vsnoop_assert(inserted, "duplicate MSHR");
-    issueAttempt(*slot);
+    issueAttempt(mshr);
 }
 
 void
@@ -301,7 +337,7 @@ CoherenceController::issueAttempt(Mshr &mshr)
 void
 CoherenceController::onTimeout(std::uint64_t line_num, std::uint64_t gen)
 {
-    Mshr *found = mshrs_.find(line_num);
+    Mshr *found = findMshr(line_num);
     if (found == nullptr || found->timeoutGen != gen)
         return; // completed or re-armed since
     Mshr &mshr = *found;
@@ -354,7 +390,7 @@ CoherenceController::onTimeout(std::uint64_t line_num, std::uint64_t gen)
 void
 CoherenceController::persistentGranted(HostAddr line)
 {
-    Mshr *found = mshrs_.find(line.lineAligned().lineNum());
+    Mshr *found = findMshr(line.lineAligned().lineNum());
     if (found == nullptr) {
         // Completed while queued (e.g. straggler responses finished
         // the transient attempt); hand the grant straight back.
@@ -378,7 +414,7 @@ CoherenceController::handleSnoop(const SnoopMsg &msg)
     // competing full-miss MSHR, or two starving writers could
     // deadlock holding partial token sets.
     if (msg.persistent) {
-        Mshr *found = mshrs_.find(line_num);
+        Mshr *found = findMshr(line_num);
         if (found != nullptr && !found->upgrade &&
             (found->tokens > 0 || found->owner)) {
             Mshr &loser = *found;
@@ -423,7 +459,7 @@ CoherenceController::respondFromLine(const SnoopMsg &msg, CacheLine &line)
         resp.dirty = line.dirty;
         resp.sourceCore = core_;
         resp.sourceVm = line.vm;
-        Mshr *upgrading = mshrs_.find(msg.line.lineNum());
+        Mshr *upgrading = findMshr(msg.line.lineNum());
         if (upgrading != nullptr && upgrading->upgrade) {
             upgrading->upgrade = false;
             upgrading->haveData = false;
@@ -501,7 +537,7 @@ CoherenceController::respondFromLine(const SnoopMsg &msg, CacheLine &line)
 void
 CoherenceController::handleResponse(const ResponseMsg &msg)
 {
-    Mshr *found = mshrs_.find(msg.line.lineNum());
+    Mshr *found = findMshr(msg.line.lineNum());
     if (found == nullptr) {
         // Straggler after completion (or after a persistent
         // surrender): tokens must never be dropped, so bounce them
@@ -653,7 +689,7 @@ CoherenceController::tryComplete(Mshr &mshr)
 
     AccessCallback callback = std::move(mshr.callback);
     DataSource source = mshr.dataSource;
-    mshrs_.erase(mshr.access.addr.lineNum());
+    eraseMshr(mshr);
     if (callback)
         callback(done, source, true);
 }

@@ -17,6 +17,7 @@
 #define VSNOOP_COHERENCE_CONTROLLER_HH_
 
 #include <optional>
+#include <vector>
 
 #include "coherence/protocol.hh"
 #include "mem/cache.hh"
@@ -96,8 +97,11 @@ class CoherenceController
     /** Number of outstanding transactions. */
     std::size_t mshrCount() const { return mshrs_.size(); }
 
-    /** Allocated MSHR table slots. */
+    /** Allocated MSHR index slots. */
     std::size_t mshrCapacity() const { return mshrs_.capacity(); }
+
+    /** MSHRs in the pool behind the index, free or in use. */
+    std::size_t mshrPoolSlots() const { return mshrPool_.size(); }
 
     /**
      * Attach an internals counter block to the MSHR table
@@ -184,6 +188,14 @@ class CoherenceController
         }
     };
 
+    /** The MSHR for @p line_num, or nullptr. */
+    Mshr *findMshr(std::uint64_t line_num);
+    const Mshr *findMshr(std::uint64_t line_num) const;
+
+    /** Release @p mshr's pool slot (reset, onto the free list) and
+     *  drop its index entry. */
+    void eraseMshr(Mshr &mshr);
+
     /** Multicast the current attempt's snoops and arm the timer. */
     void issueAttempt(Mshr &mshr);
 
@@ -217,7 +229,17 @@ class CoherenceController
     /** Optional inclusive write-through L1 in front of the L2. */
     std::optional<Cache> l1_;
     ResidenceCounters residence_;
-    FlatMap<Mshr> mshrs_;
+    /**
+     * Outstanding MSHRs: line number -> slot in mshrPool_.  The index
+     * keeps the probe sequence and rehashes a FlatMap<Mshr> would
+     * have, while the ~200-byte MSHRs live only in as many pool slots
+     * as were ever outstanding at once.  A reference into the pool is
+     * valid until the next access() allocates a slot.
+     */
+    FlatMap<std::uint32_t> mshrs_;
+    std::vector<Mshr> mshrPool_;
+    /** Pool slots not in use, reused last-freed first. */
+    std::vector<std::uint32_t> freeMshrs_;
 };
 
 } // namespace vsnoop

@@ -6,12 +6,23 @@
 #include "service/sweep_wire.hh"
 #include "sim/logging.hh"
 #include "sim/slog.hh"
+#include "system/config_schema.hh"
 #include "system/heartbeat.hh"
 #include "system/run_result.hh"
 #include "workload/app_profile.hh"
 
 namespace vsnoop
 {
+
+namespace
+{
+
+/** Pool ceiling for an oversized runJobs (vsnoopserve accepts any
+ *  --jobs value): the workers start up front, so runJobs must not
+ *  become an unbounded thread count. */
+constexpr unsigned kMaxWorkers = 256;
+
+} // namespace
 
 const char *
 jobStateName(JobState state)
@@ -35,9 +46,14 @@ jobStateTerminal(JobState state)
 
 JobQueue::JobQueue(ResultStore *store, unsigned runJobs,
                    JobTraceRecorder *trace)
-    : store_(store), runJobs_(runJobs), trace_(trace)
+    : store_(store), trace_(trace)
 {
-    dispatcher_ = std::thread(&JobQueue::dispatchLoop, this);
+    unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+    runJobs_ = runJobs == 0 ? hardware : runJobs;
+    unsigned workers = std::max(std::min(runJobs_, kMaxWorkers), hardware);
+    workers_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        workers_.emplace_back(&JobQueue::workerLoop, this);
 }
 
 JobQueue::~JobQueue()
@@ -63,7 +79,6 @@ JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
                     "without a trace directory");
 
     auto job = std::make_unique<Job>();
-    job->matrix = matrix;
     job->points = matrix.expand();
     job->profiles.reserve(job->points.size());
     job->configs.reserve(job->points.size());
@@ -74,6 +89,11 @@ JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
             return fail("unknown app '" + point.app + "'");
         job->profiles.push_back(profile);
         job->configs.push_back(matrix.configFor(point));
+        // A config the simulator would abort on must not reach a
+        // worker: the abort would take every job in the pool with it.
+        std::string invalid;
+        if (!validateConfig(job->configs.back(), &invalid))
+            return fail(invalid);
         job->cacheKeys.push_back(
             runCacheKey(job->configs.back(), point.app));
     }
@@ -88,14 +108,14 @@ JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
     std::uint64_t id = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_.load())
+        if (stopping_)
             return fail("the service is shutting down");
         job->id = nextId_++;
         id = job->id;
-        fifo_.push_back(id);
+        pending_.push_back(job.get());
         jobs_.emplace(id, std::move(job));
         jobsSubmitted_.fetch_add(1);
-        dispatchCv_.notify_one();
+        workCv_.notify_all();
     }
     slog().log(LogLevel::Info, "job_submitted",
                {LogField("job", id),
@@ -111,7 +131,7 @@ JobQueue::statusLocked(const Job &job) const
     JobStatus s;
     s.id = job.id;
     s.state = job.state;
-    s.cancelRequested = job.cancelRequested.load();
+    s.cancelRequested = job.cancelRequested;
     s.runsTotal = job.points.size();
     s.runsCompleted = job.completed;
     s.runsFromCache = job.fromCache;
@@ -160,15 +180,15 @@ JobQueue::leaveQueuedLocked(const Job &job, std::int64_t endMs)
 bool
 JobQueue::cancel(std::uint64_t id)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     auto it = jobs_.find(id);
     if (it == jobs_.end())
         return false;
     Job &job = *it->second;
     if (job.state == JobState::Queued) {
-        // The dispatcher skips non-queued jobs when it pops them.
+        // Workers drop non-queued jobs from pending_ when they scan.
         job.state = JobState::Cancelled;
-        job.cancelRequested.store(true);
+        job.cancelRequested = true;
         job.finishedMs = static_cast<std::int64_t>(steadyNowMs());
         jobsCancelled_.fetch_add(1);
         leaveQueuedLocked(job, job.finishedMs);
@@ -179,16 +199,19 @@ JobQueue::cancel(std::uint64_t id)
         resultCv_.notify_all();
         return true;
     }
-    if (job.state == JobState::Running &&
-        !job.cancelRequested.exchange(true)) {
-        if (trace_ != nullptr)
-            trace_->record(JobInstant{
-                job.id, "cancel",
-                static_cast<std::int64_t>(steadyNowMs()),
-                job.requestId, -1});
-        return true;
+    if (job.state != JobState::Running || job.cancelRequested)
+        return false;
+    job.cancelRequested = true;
+    if (trace_ != nullptr)
+        trace_->record(JobInstant{
+            job.id, "cancel", static_cast<std::int64_t>(steadyNowMs()),
+            job.requestId, -1});
+    // With runs in flight, the last one to return settles the job.
+    if (settleLocked(job)) {
+        lock.unlock();
+        logFinished(job);
     }
-    return false;
+    return true;
 }
 
 bool
@@ -234,178 +257,192 @@ JobQueue::streamResults(
     return true;
 }
 
-void
-JobQueue::dispatchLoop()
+JobQueue::Job *
+JobQueue::nextRunnableLocked()
 {
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        Job &job = **it;
+        if (jobStateTerminal(job.state) || haltedLocked(job) ||
+            job.dispatched == job.points.size()) {
+            it = pending_.erase(it);
+            continue;
+        }
+        if (job.inFlight < runJobs_)
+            return &job;
+        ++it;
+    }
+    return nullptr;
+}
+
+bool
+JobQueue::haltedLocked(const Job &job) const
+{
+    return job.cancelRequested || stopping_ || !job.error.empty();
+}
+
+void
+JobQueue::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         Job *job = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            dispatchCv_.wait(lock, [&] {
-                return !fifo_.empty() || stopping_.load();
-            });
-            if (stopping_.load())
-                return; // queued jobs were marked cancelled
-            std::uint64_t id = fifo_.front();
-            fifo_.pop_front();
-            Job &candidate = *jobs_.at(id);
-            if (candidate.state != JobState::Queued)
-                continue; // cancelled while waiting its turn
-            candidate.state = JobState::Running;
-            candidate.startedMs =
-                static_cast<std::int64_t>(steadyNowMs());
-            leaveQueuedLocked(candidate, candidate.startedMs);
-            job = &candidate;
+        workCv_.wait(lock, [&] {
+            return stopping_ || (job = nextRunnableLocked()) != nullptr;
+        });
+        if (stopping_)
+            return; // running jobs are settled by their last run
+        if (job->state == JobState::Queued) {
+            job->state = JobState::Running;
+            job->startedMs = static_cast<std::int64_t>(steadyNowMs());
+            leaveQueuedLocked(*job, job->startedMs);
         }
-        execute(*job);
+        std::size_t slot = job->dispatched++;
+        ++job->inFlight;
+        lock.unlock();
+
+        // Never empty once set: a non-empty error is what fails the job.
+        std::string error;
+        try {
+            runSlot(*job, slot);
+        } catch (const std::exception &e) {
+            error = "slot " + std::to_string(slot) + ": " + e.what();
+        } catch (...) {
+            error = "slot " + std::to_string(slot) +
+                    ": unknown execution error";
+        }
+
+        lock.lock();
+        --job->inFlight;
+        if (!error.empty() && job->error.empty())
+            job->error = std::move(error);
+        if (settleLocked(*job)) {
+            lock.unlock();
+            logFinished(*job);
+            lock.lock();
+        }
+        // The one slot this run freed is picked up by this worker's
+        // own next wait, so no other worker needs waking.
     }
 }
 
 void
-JobQueue::execute(Job &job)
+JobQueue::runSlot(Job &job, std::size_t slot)
 {
-    std::size_t total = job.points.size();
-    auto finish = [&](JobState state, const std::string &error) {
-        std::size_t completed;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            job.state = state;
-            job.error = error;
-            job.finishedMs = static_cast<std::int64_t>(steadyNowMs());
-            completed = job.completed;
-            switch (state) {
-              case JobState::Done: jobsCompleted_.fetch_add(1); break;
-              case JobState::Failed: jobsFailed_.fetch_add(1); break;
-              case JobState::Cancelled:
-                jobsCancelled_.fetch_add(1);
-                break;
-              default: vsnoop_panic("non-terminal finish state");
-            }
-            resultCv_.notify_all();
-        }
-        // The execute span starts exactly where queue-wait ended,
-        // so the two tile [submitted, finished]: per-job spans sum
-        // to the job's submit-to-done latency by construction.
-        if (trace_ != nullptr)
-            trace_->record(JobSpan{job.id, "execute", job.startedMs,
-                                   job.finishedMs, job.requestId, -1,
-                                   jobStateName(state)});
-        slog().log(
-            state == JobState::Failed ? LogLevel::Warn
-                                      : LogLevel::Info,
-            "job_finished",
-            {LogField("job", job.id),
-             LogField("state", jobStateName(state)),
-             LogField("runs_completed",
-                      static_cast<std::uint64_t>(completed)),
-             LogField("error", error),
-             LogField("request_id", job.requestId)});
-    };
-
-    try {
-        // Cache pass first: hits complete instantly and never
-        // occupy a worker, so a fully warm matrix finishes without
-        // simulating anything.
-        std::vector<std::size_t> miss_slots;
-        for (std::size_t i = 0; i < total; ++i) {
-            std::optional<std::string> cached =
-                store_ != nullptr
-                    ? store_->get(job.cacheKeys[i])
-                    : std::nullopt;
-            if (trace_ != nullptr)
-                trace_->record(JobInstant{
-                    job.id, cached ? "cache-hit" : "cache-miss",
-                    static_cast<std::int64_t>(steadyNowMs()),
-                    job.requestId, static_cast<std::int64_t>(i)});
-            if (cached) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                job.lines[i] = std::move(*cached);
-                job.ready[i] = 1;
-                ++job.completed;
-                ++job.fromCache;
-                runsFromCache_.fetch_add(1);
-                resultCv_.notify_all();
-            } else {
-                miss_slots.push_back(i);
-            }
-        }
-
-        auto cancelled = [&] {
-            return job.cancelRequested.load() || stopping_.load();
-        };
-        runIndexed(
-            miss_slots.size(), runJobs_,
-            [&](std::size_t k) {
-                std::size_t slot = miss_slots[k];
-                std::int64_t begin =
-                    static_cast<std::int64_t>(steadyNowMs());
-                RunResult result = collectRun(job.configs[slot],
-                                              *job.profiles[slot]);
-                totals_.add(result.results);
-                std::string line = result.toJson();
-                if (store_ != nullptr)
-                    store_->put(job.cacheKeys[slot], line);
-                std::int64_t end =
-                    static_cast<std::int64_t>(steadyNowMs());
-                if (trace_ != nullptr)
-                    trace_->record(JobSpan{
-                        job.id, "run", begin, end, job.requestId,
-                        static_cast<std::int64_t>(slot),
-                        job.points[slot].app});
-                std::lock_guard<std::mutex> lock(mutex_);
-                runExecuteHist_.sample(
-                    static_cast<std::uint64_t>(end - begin));
-                job.lines[slot] = std::move(line);
-                job.ready[slot] = 1;
-                ++job.completed;
-                ++job.executed;
-                runsExecuted_.fetch_add(1);
-                resultCv_.notify_all();
-            },
-            cancelled);
-
-        bool complete;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            complete = job.completed == total;
-        }
-        if (!complete && cancelled())
-            finish(JobState::Cancelled, "");
-        else
-            finish(JobState::Done, "");
-    } catch (const std::exception &e) {
-        finish(JobState::Failed, e.what());
-    } catch (...) {
-        finish(JobState::Failed, "unknown execution error");
+    std::optional<std::string> cached =
+        store_ != nullptr ? store_->get(job.cacheKeys[slot])
+                          : std::nullopt;
+    if (trace_ != nullptr)
+        trace_->record(JobInstant{
+            job.id, cached ? "cache-hit" : "cache-miss",
+            static_cast<std::int64_t>(steadyNowMs()), job.requestId,
+            static_cast<std::int64_t>(slot)});
+    if (cached) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        job.lines[slot] = std::move(*cached);
+        job.ready[slot] = 1;
+        ++job.completed;
+        ++job.fromCache;
+        runsFromCache_.fetch_add(1);
+        resultCv_.notify_all();
+        return;
     }
+
+    std::int64_t begin = static_cast<std::int64_t>(steadyNowMs());
+    RunResult result = collectRun(job.configs[slot], *job.profiles[slot]);
+    totals_.add(result.results);
+    std::string line = result.toJson();
+    if (store_ != nullptr)
+        store_->put(job.cacheKeys[slot], line);
+    std::int64_t end = static_cast<std::int64_t>(steadyNowMs());
+    if (trace_ != nullptr)
+        trace_->record(JobSpan{job.id, "run", begin, end, job.requestId,
+                               static_cast<std::int64_t>(slot),
+                               job.points[slot].app});
+    std::lock_guard<std::mutex> lock(mutex_);
+    runExecuteHist_.sample(static_cast<std::uint64_t>(end - begin));
+    job.lines[slot] = std::move(line);
+    job.ready[slot] = 1;
+    ++job.completed;
+    ++job.executed;
+    runsExecuted_.fetch_add(1);
+    resultCv_.notify_all();
+}
+
+bool
+JobQueue::settleLocked(Job &job)
+{
+    if (job.state != JobState::Running || job.inFlight != 0)
+        return false;
+    if (!haltedLocked(job) && job.dispatched < job.points.size())
+        return false;
+    if (!job.error.empty()) {
+        job.state = JobState::Failed;
+        jobsFailed_.fetch_add(1);
+    } else if (job.completed < job.points.size()) {
+        job.state = JobState::Cancelled;
+        jobsCancelled_.fetch_add(1);
+    } else {
+        job.state = JobState::Done;
+        jobsCompleted_.fetch_add(1);
+    }
+    job.finishedMs = static_cast<std::int64_t>(steadyNowMs());
+    // The execute span starts exactly where queue-wait ended, so the
+    // two tile [submitted, finished]: per-job spans sum to the job's
+    // submit-to-done latency by construction.
+    if (trace_ != nullptr)
+        trace_->record(JobSpan{job.id, "execute", job.startedMs,
+                               job.finishedMs, job.requestId, -1,
+                               jobStateName(job.state)});
+    resultCv_.notify_all();
+    return true;
+}
+
+void
+JobQueue::logFinished(const Job &job)
+{
+    // A terminal job is never written again, so it reads safely
+    // without mutex_.
+    slog().log(
+        job.state == JobState::Failed ? LogLevel::Warn : LogLevel::Info,
+        "job_finished",
+        {LogField("job", job.id), LogField("state", jobStateName(job.state)),
+         LogField("runs_completed",
+                  static_cast<std::uint64_t>(job.completed)),
+         LogField("error", job.error),
+         LogField("request_id", job.requestId)});
 }
 
 void
 JobQueue::shutdown()
 {
+    std::vector<Job *> settled;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (shutdownDone_)
             return;
         shutdownDone_ = true;
-        stopping_.store(true);
+        stopping_ = true;
         std::int64_t now = static_cast<std::int64_t>(steadyNowMs());
-        for (std::uint64_t id : fifo_) {
-            Job &job = *jobs_.at(id);
-            if (job.state != JobState::Queued)
-                continue;
-            job.state = JobState::Cancelled;
-            job.cancelRequested.store(true);
-            job.finishedMs = now;
-            jobsCancelled_.fetch_add(1);
-            leaveQueuedLocked(job, now);
+        for (Job *job : pending_) {
+            if (job->state == JobState::Queued) {
+                job->state = JobState::Cancelled;
+                job->cancelRequested = true;
+                job->finishedMs = now;
+                jobsCancelled_.fetch_add(1);
+                leaveQueuedLocked(*job, now);
+            } else if (settleLocked(*job)) {
+                settled.push_back(job);
+            }
         }
-        fifo_.clear();
-        dispatchCv_.notify_all();
+        pending_.clear();
+        workCv_.notify_all();
         resultCv_.notify_all();
     }
-    if (dispatcher_.joinable())
-        dispatcher_.join();
+    for (Job *job : settled)
+        logFinished(*job);
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
 }
 
 void

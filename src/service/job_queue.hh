@@ -1,30 +1,33 @@
 /**
  * @file
- * FIFO sweep-job queue executing on the existing worker pool.
+ * FIFO sweep-job queue executing on one shared run-worker pool.
  *
  * One JobQueue owns the service's execution: submissions are
  * validated sweep matrices (service/sweep_wire.hh) assigned
- * monotonic ids; a single dispatcher thread executes jobs in
- * submission order, each job fanning its runs into the shared
- * system/sweep.hh runIndexed() pool with the configured run
- * parallelism.  Per-run results land in slots indexed by the run's
- * position in the expanded matrix — the same order and bytes an
- * offline vsnoopsweep of the same matrix produces.
+ * monotonic ids, and a persistent pool of run workers executes them.
+ * A free worker takes the next undispatched slot of the oldest job
+ * with fewer than the per-job run limit in flight, so runs start in
+ * (job id, slot) order, no job holds more workers than the limit,
+ * and a worker freed by one job's tail starts the next job instead
+ * of idling until the slowest run of the current one returns.
+ * Per-run results land in slots indexed by the run's position in
+ * the expanded matrix — the same order and bytes an offline
+ * vsnoopsweep of the same matrix produces.
  *
- * Every run first consults the ResultStore: a hit is served without
- * simulation (and without occupying a worker), a miss executes and
- * is inserted, so resubmitting a matrix completes with zero new
- * runs.  streamResults() delivers finished lines in matrix order
- * while the job still runs, blocking on not-yet-finished slots —
- * this backs the chunked GET /jobs/<id>/results stream.
+ * Every slot first consults the ResultStore: a hit is served without
+ * simulation, a miss executes and is inserted, so resubmitting a
+ * finished matrix completes with zero new runs.  streamResults()
+ * delivers finished lines in matrix order while the job still runs,
+ * blocking on not-yet-finished slots — this backs the chunked
+ * GET /jobs/<id>/results stream.
  *
  * State machine: queued -> running -> done | failed | cancelled,
- * plus queued -> cancelled.  cancel() on a running job sets a flag
- * the run pool polls before each dispatch (the same cooperative
- * path vsnoopsweep's SIGINT uses): in-flight runs finish and are
- * kept, undispatched runs never start.  Jobs are retained after
- * completion so status and results stay queryable for the server's
- * lifetime.
+ * plus queued -> cancelled.  A job turns running when a worker
+ * takes its first slot.  cancel() on a running job stops dispatch
+ * of its slots: in-flight runs finish and are kept, undispatched
+ * runs never start.  A run that throws fails its job the same way.
+ * Jobs are retained after completion so status and results stay
+ * queryable for the server's lifetime.
  *
  * Observability: each job carries the request id of the HTTP
  * request that submitted it (surfaced in JobStatus and every span).
@@ -104,11 +107,12 @@ class JobQueue
 {
   public:
     /**
-     * @p store may be null (every run executes); @p runJobs is the
-     * per-job worker count handed to runIndexed() (0 = hardware
-     * concurrency); @p trace, when non-null, receives lifecycle
-     * spans (the recorder must outlive the queue).  The dispatcher
-     * thread starts immediately.
+     * @p store may be null (every run executes); @p runJobs caps the
+     * runs one job has in flight (0 = hardware concurrency); @p trace,
+     * when non-null, receives lifecycle spans (the recorder must
+     * outlive the queue).  The pool of max(runJobs, hardware
+     * concurrency) run workers starts immediately; runJobs counts
+     * toward the pool size up to 256.
      */
     explicit JobQueue(ResultStore *store, unsigned runJobs = 0,
                       JobTraceRecorder *trace = nullptr);
@@ -120,8 +124,10 @@ class JobQueue
     /**
      * Enqueue @p matrix.  Returns the new job id, or 0 with
      * @p error set when the matrix is invalid (empty axis, unknown
-     * app) or the queue is shutting down.  App names are resolved
-     * here so execution can never hit findApp()'s fatal path.
+     * app, a run config validateConfig() rejects) or the queue is
+     * shutting down.  App names and configs are checked here so
+     * execution can never hit findApp()'s fatal path or a simulator
+     * assertion that would abort every job in the pool.
      */
     std::uint64_t submit(const SweepMatrix &matrix,
                          const std::string &label = "",
@@ -153,11 +159,15 @@ class JobQueue
         const std::function<bool(const std::string &line)> &emit);
 
     /**
-     * Cancel queued jobs, flag the running one, and join the
-     * dispatcher once its in-flight runs finish.  Idempotent; the
+     * Cancel queued jobs, stop dispatch of running ones, and join
+     * every worker once the in-flight runs finish.  Idempotent; the
      * destructor calls it.  Wakes every streamResults() waiter.
      */
     void shutdown();
+
+    /** Run workers in the pool; 0 once shutdown() has joined them.
+     *  Not synchronized with a concurrent shutdown(). */
+    std::size_t workerCount() const { return workers_.size(); }
 
     /** @{ Service counters. */
     std::uint64_t jobsSubmitted() const { return jobsSubmitted_.load(); }
@@ -177,7 +187,6 @@ class JobQueue
     struct Job
     {
         std::uint64_t id = 0;
-        SweepMatrix matrix;
         /** Expanded points, their resolved profiles and configs. */
         std::vector<SweepPoint> points;
         std::vector<const AppProfile *> profiles;
@@ -187,10 +196,14 @@ class JobQueue
         std::string requestId;
 
         JobState state = JobState::Queued;
-        std::atomic<bool> cancelRequested{false};
+        bool cancelRequested = false;
         std::vector<std::string> lines;
         /** ready[i] != 0 iff lines[i] holds a finished record. */
         std::vector<std::uint8_t> ready;
+        /** Slots [0, dispatched) have been handed to a worker. */
+        std::size_t dispatched = 0;
+        /** Slots a worker is serving right now. */
+        unsigned inFlight = 0;
         std::size_t completed = 0;
         std::size_t fromCache = 0;
         std::size_t executed = 0;
@@ -200,28 +213,45 @@ class JobQueue
         std::int64_t finishedMs = -1;
     };
 
-    void dispatchLoop();
-    void execute(Job &job);
+    void workerLoop();
+    /** Oldest job a free worker may take a slot from, or nullptr;
+     * drops jobs with nothing left to dispatch (mutex_ held). */
+    Job *nextRunnableLocked();
+    /** Serve one slot from the store or by simulating it, and
+     * publish its line.  Takes mutex_ only to publish. */
+    void runSlot(Job &job, std::size_t slot);
+    /** True once no further slot of @p job may start. */
+    bool haltedLocked(const Job &job) const;
+    /**
+     * Make a running @p job terminal, recording its execute span, if
+     * nothing of it is in flight and nothing may start (mutex_ held).
+     * Returns true when it did; the caller then calls logFinished()
+     * without mutex_.
+     */
+    bool settleLocked(Job &job);
+    /** The job_finished log record of a settled job. */
+    void logFinished(const Job &job);
     JobStatus statusLocked(const Job &job) const;
     /** Sample the queue-wait histogram + span as a job leaves
      * Queued (mutex_ held; @p endMs is startedMs or finishedMs). */
     void leaveQueuedLocked(const Job &job, std::int64_t endMs);
 
     ResultStore *store_;
+    /** Per-job in-flight run limit (resolved, >= 1). */
     unsigned runJobs_;
     JobTraceRecorder *trace_;
 
     mutable std::mutex mutex_;
-    /** Dispatcher wakeup (new job / shutdown). */
-    std::condition_variable dispatchCv_;
+    /** Worker wakeup (new job / shutdown). */
+    std::condition_variable workCv_;
     /** Streamer wakeup (slot finished / terminal transition). */
     std::condition_variable resultCv_;
     std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
-    std::deque<std::uint64_t> fifo_;
+    /** Jobs that may still have slots to dispatch, id order. */
+    std::deque<Job *> pending_;
     std::uint64_t nextId_ = 1;
-    std::atomic<bool> stopping_{false};
+    bool stopping_ = false;
     bool shutdownDone_ = false;
-    std::thread dispatcher_;
 
     std::atomic<std::uint64_t> jobsSubmitted_{0};
     std::atomic<std::uint64_t> jobsCompleted_{0};
@@ -230,14 +260,17 @@ class JobQueue
     std::atomic<std::uint64_t> runsExecuted_{0};
     std::atomic<std::uint64_t> runsFromCache_{0};
 
-    /** Latency histograms, guarded by mutex_ (sampled on the
-     * dispatcher and run workers, staged by the publisher). */
+    /** Latency histograms, guarded by mutex_ (sampled by the run
+     * workers, cancel() and shutdown(), read by the publisher). */
     LatencyHistogram queueWaitHist_;
     LatencyHistogram runExecuteHist_;
 
     /** Perf and pages totals over executed runs submitted with
      * "perf"/"pages": true (own lock; see system/run_totals.hh). */
     RunTotals totals_;
+
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace vsnoop

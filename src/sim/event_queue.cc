@@ -34,8 +34,22 @@ EventQueue::schedule(Event &event, Tick when)
 void
 EventQueue::wheelAppend(const HeapEntry &entry)
 {
+    std::uint32_t node = freeNode_;
+    if (node == kNil) {
+        vsnoop_assert(nodes_.size() < kNil, "event wheel slab is full");
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    } else {
+        freeNode_ = nodes_[node].next;
+    }
+    nodes_[node] = WheelNode{entry, kNil};
     Bucket &bucket = wheel_[entry.when & kWheelMask];
-    bucket.entries.push_back(entry);
+    if (bucket.tail == kNil)
+        bucket.head = node;
+    else
+        nodes_[bucket.tail].next = node;
+    bucket.tail = node;
+    bucket.depth++;
     wheelCount_++;
     if (entry.when < peekCursor_)
         peekCursor_ = entry.when;
@@ -43,10 +57,22 @@ EventQueue::wheelAppend(const HeapEntry &entry)
         perf_->wheelInserts++;
         if (wheelCount_ > perf_->maxWheelEntries)
             perf_->maxWheelEntries = wheelCount_;
-        std::uint64_t depth = bucket.entries.size() - bucket.head;
-        if (depth > perf_->maxBucketDepth)
-            perf_->maxBucketDepth = depth;
+        if (bucket.depth > perf_->maxBucketDepth)
+            perf_->maxBucketDepth = bucket.depth;
     }
+}
+
+void
+EventQueue::popBucketHead(Bucket &bucket)
+{
+    std::uint32_t node = bucket.head;
+    bucket.head = nodes_[node].next;
+    if (bucket.head == kNil)
+        bucket.tail = kNil;
+    bucket.depth--;
+    nodes_[node].next = freeNode_;
+    freeNode_ = node;
+    wheelCount_--;
 }
 
 void
@@ -176,8 +202,8 @@ EventQueue::peekNext(HeapEntry &out)
         Tick t = peekCursor_;
         for (;;) {
             Bucket &bucket = wheel_[t & kWheelMask];
-            while (bucket.head < bucket.entries.size()) {
-                const HeapEntry &e = bucket.entries[bucket.head];
+            while (bucket.head != kNil) {
+                const HeapEntry &e = nodes_[bucket.head].entry;
                 if (e.event->scheduled_ && e.event->token_ == e.token) {
                     peekCursor_ = t;
                     peekFromOverflow_ = false;
@@ -185,12 +211,7 @@ EventQueue::peekNext(HeapEntry &out)
                     return true;
                 }
                 // Stale: event was descheduled or rescheduled.
-                bucket.head++;
-                wheelCount_--;
-            }
-            if (bucket.head != 0) {
-                bucket.entries.clear();
-                bucket.head = 0;
+                popBucketHead(bucket);
             }
             if (wheelCount_ == 0)
                 break;
@@ -219,13 +240,7 @@ EventQueue::consumePeeked()
         heapPopTop();
         return;
     }
-    Bucket &bucket = wheel_[peekCursor_ & kWheelMask];
-    bucket.head++;
-    wheelCount_--;
-    if (bucket.head == bucket.entries.size()) {
-        bucket.entries.clear();
-        bucket.head = 0;
-    }
+    popBucketHead(wheel_[peekCursor_ & kWheelMask]);
 }
 
 bool

@@ -29,6 +29,12 @@
  * produce: a bucket only ever receives entries for a single tick in
  * ascending sequence order, and overflow entries for a tick are
  * migrated into its bucket before any direct insert can target it.
+ *
+ * Buckets are FIFO lists threaded through one node slab: a bucket is
+ * a (head, tail) pair of slab indices, and consumed or stale nodes go
+ * back on the slab's free list.  The slab therefore never holds more
+ * nodes than the most wheel entries ever live at once, where per-tick
+ * vectors would each keep their high-water capacity for the run.
  */
 
 #ifndef VSNOOP_SIM_EVENT_QUEUE_HH_
@@ -173,6 +179,8 @@ class EventQueue
      * sampler (and anyone else curious).
      */
     std::uint64_t wheelEntries() const { return wheelCount_; }
+    /** Nodes in the wheel's slab: the peak of wheelEntries(). */
+    std::uint64_t wheelSlabNodes() const { return nodes_.size(); }
     std::uint64_t overflowEntries() const { return overflow_.size(); }
     std::uint64_t poolSlots() const { return pool_.size(); }
     /** @} */
@@ -216,16 +224,27 @@ class EventQueue
         std::uint32_t slot_;
     };
 
+    /** End-of-list / empty-free-list marker for slab indices. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One wheel entry in the slab, linked to its bucket successor. */
+    struct WheelNode
+    {
+        HeapEntry entry;
+        std::uint32_t next;
+    };
+
     /**
      * One wheel slot.  While a tick is within the wheel's window its
-     * bucket is a FIFO: entries append at the back and drain from
-     * head.  head-consumed prefixes are reclaimed lazily when the
-     * bucket empties (capacity is kept for reuse).
+     * bucket is a FIFO list: entries append at tail and drain from
+     * head, each drained node returning to the slab's free list.
+     * depth counts the bucket's nodes, stale ones included.
      */
     struct Bucket
     {
-        std::vector<HeapEntry> entries;
-        std::size_t head = 0;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t depth = 0;
     };
 
     /** Wheel span in ticks (power of two). */
@@ -251,6 +270,9 @@ class EventQueue
     /** Append to the wheel bucket for entry.when. */
     void wheelAppend(const HeapEntry &entry);
 
+    /** Unlink @p bucket's head node onto the slab's free list. */
+    void popBucketHead(Bucket &bucket);
+
     /**
      * Advance the clock and slide the wheel window: overflow entries
      * that fall inside the new window move into their buckets.  Must
@@ -267,6 +289,11 @@ class EventQueue
     /** @} */
 
     std::vector<Bucket> wheel_{kWheelSize};
+    /** Node slab behind every bucket; grows only when freeNode_ is
+     *  empty. */
+    std::vector<WheelNode> nodes_;
+    /** Head of the slab's free list (kNil when empty). */
+    std::uint32_t freeNode_ = kNil;
     /** Entries (valid + stale) currently in wheel buckets. */
     std::uint64_t wheelCount_ = 0;
     /**

@@ -7,6 +7,7 @@
 
 #include "mem/addr.hh"
 #include "sim/cli.hh"
+#include "sim/core_set.hh"
 #include "sim/json.hh"
 
 namespace vsnoop
@@ -211,8 +212,15 @@ validateConfig(const SystemConfig &c, std::string *error)
     };
     if (c.mesh.width < 1 || c.mesh.height < 1)
         return fail("mesh_width and mesh_height must be at least 1");
-    if (c.mesh.width > 64 || c.mesh.height > 64)
-        return fail("mesh dimensions above 64x64 are not served");
+    // CoreSet is one 64-bit mask; the product is taken in 64 bits so
+    // no wrapped mesh slips under the limit.
+    std::uint64_t cores = std::uint64_t(c.mesh.width) * c.mesh.height;
+    if (cores > CoreSet::kMaxCores)
+        return fail("mesh " + std::to_string(c.mesh.width) + "x" +
+                    std::to_string(c.mesh.height) + " has " +
+                    std::to_string(cores) + " cores; at most " +
+                    std::to_string(CoreSet::kMaxCores) +
+                    " are supported");
     if (c.mesh.linkBytes < 1)
         return fail("link_bytes must be at least 1");
     if (c.numVms < 1 || c.vcpusPerVm < 1)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <set>
+#include <vector>
 
 #include "sim/json.hh"
 
@@ -97,18 +98,38 @@ JobTraceRecorder::writeChromeTrace(std::ostream &out) const
         instants = instants_;
     }
 
+    // Runs of concurrent jobs overlap, so each run takes the first
+    // "runs" lane free at its start (in begin order): no lane holds
+    // overlapping slices, and there are as many lanes as runs were
+    // ever in flight at once.
+    std::vector<std::size_t> runs;
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        if (spans[i].name == "run")
+            runs.push_back(i);
+    std::stable_sort(runs.begin(), runs.end(),
+                     [&spans](std::size_t a, std::size_t b) {
+                         return spans[a].beginMs < spans[b].beginMs;
+                     });
+    std::vector<std::uint64_t> runLane(spans.size(), 0);
+    std::vector<std::int64_t> laneEnd;
+    for (std::size_t i : runs) {
+        auto lane = std::find_if(laneEnd.begin(), laneEnd.end(),
+                                 [&](std::int64_t end) {
+                                     return end <= spans[i].beginMs;
+                                 });
+        if (lane == laneEnd.end())
+            lane = laneEnd.insert(lane, 0);
+        *lane = spans[i].endMs;
+        runLane[i] = static_cast<std::uint64_t>(lane - laneEnd.begin());
+    }
+
     // Which tracks exist, for the metadata block.
     std::set<std::uint64_t> jobTids;
-    std::set<std::uint64_t> runTids;
     std::set<std::uint64_t> streamTids;
     for (const JobSpan &span : spans) {
-        if (span.name == "run")
-            runTids.insert(
-                static_cast<std::uint64_t>(std::max<std::int64_t>(
-                    span.slot, 0)));
-        else if (span.name == "stream")
+        if (span.name == "stream")
             streamTids.insert(span.job);
-        else
+        else if (span.name != "run")
             jobTids.insert(span.job);
     }
     for (const JobInstant &instant : instants)
@@ -122,11 +143,11 @@ JobTraceRecorder::writeChromeTrace(std::ostream &out) const
     for (std::uint64_t tid : jobTids)
         metadataEvent(json, "thread_name", kJobsPid, tid,
                       "job " + std::to_string(tid));
-    if (!runTids.empty()) {
+    if (!laneEnd.empty()) {
         metadataEvent(json, "process_name", kRunsPid, 0, "runs");
-        for (std::uint64_t tid : runTids)
+        for (std::uint64_t tid = 0; tid < laneEnd.size(); ++tid)
             metadataEvent(json, "thread_name", kRunsPid, tid,
-                          "slot " + std::to_string(tid));
+                          "lane " + std::to_string(tid));
     }
     if (!streamTids.empty()) {
         metadataEvent(json, "process_name", kStreamsPid, 0, "streams");
@@ -135,13 +156,13 @@ JobTraceRecorder::writeChromeTrace(std::ostream &out) const
                           "job " + std::to_string(tid) + " stream");
     }
 
-    for (const JobSpan &span : spans) {
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const JobSpan &span = spans[i];
         std::uint64_t pid = kJobsPid;
         std::uint64_t tid = span.job;
         if (span.name == "run") {
             pid = kRunsPid;
-            tid = static_cast<std::uint64_t>(
-                std::max<std::int64_t>(span.slot, 0));
+            tid = runLane[i];
         } else if (span.name == "stream") {
             pid = kStreamsPid;
         }

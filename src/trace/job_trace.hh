@@ -10,25 +10,27 @@
  * shows one track per job under a "jobs" process, with the track
  * split into the contiguous lifecycle phases:
  *
- *   queue-wait   submit() accepted the job .. the dispatcher (or a
- *                cancellation) took it out of the queue
- *   execute      the dispatcher ran it .. terminal state
+ *   queue-wait   submit() accepted the job .. a run worker took its
+ *                first slot (or a cancellation took it out of the
+ *                queue)
+ *   execute      that first slot .. terminal state
  *
  * The two phases tile [submitted, finished] exactly, so a job's
  * spans sum to its submit-to-done latency by construction — the
  * acceptance check tests rely on.  Cache lookups surface as
  * hit/miss instants on the job's track; executed runs become
- * slices under a separate "runs" process (one row per matrix
- * slot — jobs execute one at a time, so slots never collide
- * across jobs); result streaming, which overlaps execution, gets
- * its own "streams" process.  Every event carries the request id
- * of the HTTP request that created the job, correlating the
- * Perfetto view with access-log lines and /metrics deltas.
+ * slices under a separate "runs" process, each on the first lane
+ * free when it starts (runs of concurrent jobs overlap, so lanes
+ * are assigned at export; the slot is in the slice's args); result
+ * streaming, which overlaps execution, gets its own "streams"
+ * process.  Every event carries the request id of the HTTP request
+ * that created the job, correlating the Perfetto view with
+ * access-log lines and /metrics deltas.
  *
  * Timestamps are system/heartbeat.hh steadyNowMs() milliseconds,
  * exported as trace-event microseconds (ms * 1000); viewers show
  * relative time, so only the scale matters.  Thread-safe: the
- * queue's dispatcher, run workers, and streaming handlers record
+ * queue's run workers and streaming handlers record
  * concurrently; writeChromeTrace() snapshots under the same lock.
  */
 

@@ -438,6 +438,8 @@ TEST(ConfigSchema, WireRejectsUnknownKeysWrongTypesAndSmallValues)
               "overcommitted: 20 vCPUs on 16 cores");
     EXPECT_EQ(configError("{\"mesh_width\":0}"),
               "mesh_width and mesh_height must be at least 1");
+    EXPECT_EQ(configError("{\"mesh_width\":9,\"mesh_height\":8}"),
+              "mesh 9x8 has 72 cores; at most 64 are supported");
 }
 
 TEST(ConfigSchema, VsnoopsimFlagsYieldTheWireBodysConfig)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -321,6 +323,81 @@ TEST(EventQueue, PerfDetachStopsCounting)
     eq.run();
     EXPECT_EQ(perf.schedules, 1u);
     EXPECT_EQ(log, (std::vector<int>{1}));
+}
+
+TEST(EventQueue, WheelSlabIsBoundedByPeakLiveEntries)
+{
+    // Eight self-rescheduling events, 1..15 ticks apart, dispatch
+    // about one event per tick for a million ticks.  Every wheel
+    // bucket is visited ~250 times, yet the node slab behind them
+    // never outgrows the eight entries ever live at once.
+    class Hopper : public Event
+    {
+      public:
+        Hopper(EventQueue &eq, std::uint64_t id, std::uint64_t &fired,
+               std::uint64_t &peak)
+            : eq_(eq), id_(id), fired_(fired), peak_(peak)
+        {
+        }
+
+        void
+        process() override
+        {
+            ++fired_;
+            eq_.scheduleIn(*this, 1 + (fired_ * 7 + id_) % 15);
+            peak_ = std::max(peak_, eq_.wheelEntries());
+        }
+
+      private:
+        EventQueue &eq_;
+        std::uint64_t id_;
+        std::uint64_t &fired_;
+        std::uint64_t &peak_;
+    };
+
+    EventQueue eq;
+    EventQueuePerf perf;
+    eq.setPerf(&perf);
+    std::uint64_t fired = 0, peak = 0;
+    std::vector<std::unique_ptr<Hopper>> hoppers;
+    for (std::uint64_t id = 0; id < 8; ++id) {
+        hoppers.push_back(std::make_unique<Hopper>(eq, id, fired, peak));
+        eq.schedule(*hoppers.back(), id);
+    }
+    EXPECT_EQ(eq.run(1'000'000), 1'000'000u);
+    EXPECT_GT(eq.now(), 900'000u);
+    EXPECT_EQ(peak, 8u);
+    EXPECT_EQ(perf.maxWheelEntries, 8u);
+    EXPECT_LE(eq.wheelSlabNodes(), peak);
+    EXPECT_EQ(eq.wheelEntries(), 8u);
+}
+
+TEST(EventQueue, DescheduleInsideABucketKeepsSameTickFifo)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent a(log, 1), b(log, 2), c(log, 3), d(log, 4),
+        e(log, 5);
+    eq.schedule(a, 5);
+    eq.schedule(b, 5);
+    eq.schedule(c, 5);
+    eq.schedule(d, 5);
+    eq.deschedule(b); // middle of the bucket: a stale node stays
+    eq.schedule(e, 5);
+    eq.schedule(c, 5); // rescheduled: moves to the bucket's tail
+    EXPECT_EQ(eq.wheelEntries(), 6u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 4, 5, 3}));
+    EXPECT_EQ(eq.wheelEntries(), 0u);
+    EXPECT_EQ(eq.wheelSlabNodes(), 6u);
+
+    // The drained nodes are reused, not appended.
+    log.clear();
+    eq.schedule(b, 9);
+    eq.schedule(a, 9);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2, 1}));
+    EXPECT_EQ(eq.wheelSlabNodes(), 6u);
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "sim/stats_server.hh"
 #include "system/sweep.hh"
 #include "trace/job_trace.hh"
+#include "workload/app_profile.hh"
 
 namespace vsnoop::test
 {
@@ -306,17 +308,28 @@ TEST(JobQueue, RejectsInvalidSubmissions)
     EXPECT_EQ(queue.submit(unknown, "", &error), 0u);
     EXPECT_NE(error.find("no-such-app"), std::string::npos) << error;
 
+    // Configs the simulator would abort on never reach a worker.
+    SweepMatrix oversized = tinyMatrix();
+    oversized.base.mesh.width = 9;
+    oversized.base.mesh.height = 8;
+    error.clear();
+    EXPECT_EQ(queue.submit(oversized, "", &error), 0u);
+    EXPECT_EQ(error, "mesh 9x8 has 72 cores; at most 64 are supported");
+
     EXPECT_EQ(queue.jobsSubmitted(), 0u);
 }
 
 TEST(JobQueue, CancelsQueuedJobsBeforeTheyStart)
 {
-    // One dispatcher, one worker: the second job stays queued while
-    // the first (deliberately long) one runs.
-    JobQueue queue(nullptr, 1);
+    // The first (deliberately long) job may use every worker and has
+    // more slots than the pool has workers, so the second job stays
+    // queued while the first one runs.
+    JobQueue queue(nullptr, 0);
     std::string error;
     SweepMatrix slow = tinyMatrix();
-    slow.seeds = {1, 2, 3, 4};
+    slow.seeds.clear();
+    for (std::uint64_t seed = 1; seed <= 2 * queue.workerCount(); ++seed)
+        slow.seeds.push_back(seed);
     slow.base.accessesPerVcpu = 30000;
     slow.base.warmupAccessesPerVcpu = 1000;
     std::uint64_t first = queue.submit(slow, "long", &error);
@@ -418,6 +431,205 @@ TEST(JobQueue, ResubmissionIsServedEntirelyFromTheCache)
     });
     EXPECT_EQ(first_lines, second_lines);
     fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------
+// JobQueue: the shared run pool
+// ---------------------------------------------------------------
+
+/** tinyMatrix() with runs long enough (~20k accesses per vCPU) for
+ *  two jobs' runs to overlap. */
+SweepMatrix
+overlapMatrix(std::vector<std::uint64_t> seeds)
+{
+    SweepMatrix m = tinyMatrix();
+    m.seeds = std::move(seeds);
+    m.base.accessesPerVcpu = 20000;
+    m.base.warmupAccessesPerVcpu = 500;
+    return m;
+}
+
+/** Poll until @p done(status) holds for job @p id. */
+template <typename Pred>
+void
+awaitStatus(JobQueue &queue, std::uint64_t id, Pred done)
+{
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(120);
+    for (;;) {
+        std::optional<JobStatus> status = queue.status(id);
+        ASSERT_TRUE(status.has_value());
+        if (done(*status))
+            return;
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "job " << id << " never reached the awaited state";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+/** Job @p id has left Queued, or (with one worker) cannot yet. */
+auto
+startedUnlessAlone(const JobQueue &queue)
+{
+    return [&queue](const JobStatus &status) {
+        return status.state != JobState::Queued ||
+               queue.workerCount() < 2;
+    };
+}
+
+TEST(JobQueue, NextJobStartsBeforeTheCurrentOneFinishes)
+{
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "needs two hardware threads to overlap jobs";
+    // One run worker per job, but the pool has a worker per
+    // hardware thread: the second job must not wait for the first.
+    JobQueue queue(nullptr, 1);
+    ASSERT_GE(queue.workerCount(), 2u);
+    std::string error;
+    std::uint64_t first = queue.submit(overlapMatrix({1, 2}), "", &error);
+    ASSERT_NE(first, 0u) << error;
+    std::uint64_t second = queue.submit(overlapMatrix({3}), "", &error);
+    ASSERT_NE(second, 0u) << error;
+    JobStatus a = awaitTerminal(queue, first);
+    JobStatus b = awaitTerminal(queue, second);
+    EXPECT_EQ(a.state, JobState::Done);
+    EXPECT_EQ(b.state, JobState::Done);
+    EXPECT_GE(b.startedMs, 0);
+    EXPECT_LT(b.startedMs, a.finishedMs);
+}
+
+TEST(JobQueue, OneWorkerPerJobNeverOverlapsItsOwnRuns)
+{
+    JobTraceRecorder trace;
+    JobQueue queue(nullptr, 1, &trace);
+    std::string error;
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t base : {10, 20}) {
+        std::uint64_t id = queue.submit(
+            overlapMatrix({base + 1, base + 2, base + 3}), "", &error);
+        ASSERT_NE(id, 0u) << error;
+        ids.push_back(id);
+    }
+    for (std::uint64_t id : ids)
+        EXPECT_EQ(awaitTerminal(queue, id).state, JobState::Done);
+
+    for (std::uint64_t id : ids) {
+        std::vector<JobSpan> runs;
+        for (const JobSpan &span : trace.spans())
+            if (span.job == id && span.name == "run")
+                runs.push_back(span);
+        ASSERT_EQ(runs.size(), 3u);
+        std::sort(runs.begin(), runs.end(),
+                  [](const JobSpan &x, const JobSpan &y) {
+                      return x.slot < y.slot;
+                  });
+        // Slots start in order, each after its predecessor ended.
+        for (std::size_t i = 1; i < runs.size(); ++i)
+            EXPECT_LE(runs[i - 1].endMs, runs[i].beginMs)
+                << "job " << id << " slots " << i - 1 << " and " << i;
+    }
+}
+
+TEST(JobQueue, ConcurrentJobsStreamTheOfflineBytes)
+{
+    JobQueue queue(nullptr, 1);
+    std::string error;
+    std::vector<SweepMatrix> matrices = {overlapMatrix({5, 6}),
+                                         overlapMatrix({7, 8})};
+    matrices[1].apps = {"fft"};
+    std::vector<std::uint64_t> ids;
+    for (const SweepMatrix &m : matrices) {
+        ids.push_back(queue.submit(m, "", &error));
+        ASSERT_NE(ids.back(), 0u) << error;
+    }
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+        std::vector<std::string> lines;
+        EXPECT_TRUE(queue.streamResults(ids[j],
+                                        [&](const std::string &line) {
+                                            lines.push_back(line);
+                                            return true;
+                                        }));
+        std::vector<SweepPoint> points = matrices[j].expand();
+        ASSERT_EQ(lines.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i)
+            EXPECT_EQ(lines[i],
+                      collectRun(matrices[j].configFor(points[i]),
+                                 findApp(points[i].app))
+                          .toJson())
+                << "job " << ids[j] << " slot " << i;
+    }
+}
+
+TEST(JobQueue, CancellingOneRunningJobLeavesTheOtherDone)
+{
+    JobQueue queue(nullptr, 1);
+    std::string error;
+    std::uint64_t victim =
+        queue.submit(overlapMatrix({1, 2, 3, 4}), "", &error);
+    ASSERT_NE(victim, 0u) << error;
+    std::uint64_t keeper =
+        queue.submit(overlapMatrix({5, 6, 7}), "", &error);
+    ASSERT_NE(keeper, 0u) << error;
+    awaitStatus(queue, victim, [](const JobStatus &status) {
+        return status.state != JobState::Queued;
+    });
+    awaitStatus(queue, keeper, startedUnlessAlone(queue));
+    EXPECT_TRUE(queue.cancel(victim));
+
+    JobStatus cancelled = awaitTerminal(queue, victim);
+    EXPECT_EQ(cancelled.state, JobState::Cancelled);
+    EXPECT_LT(cancelled.runsCompleted, cancelled.runsTotal);
+    JobStatus done = awaitTerminal(queue, keeper);
+    EXPECT_EQ(done.state, JobState::Done);
+    EXPECT_FALSE(done.cancelRequested);
+    EXPECT_EQ(done.runsCompleted, done.runsTotal);
+    std::size_t streamed = 0;
+    EXPECT_TRUE(queue.streamResults(keeper, [&](const std::string &) {
+        ++streamed;
+        return true;
+    }));
+    EXPECT_EQ(streamed, done.runsTotal);
+}
+
+TEST(JobQueue, PoolIsBoundedForAnOversizedRunLimit)
+{
+    // vsnoopserve takes any --jobs value; the pool starts up front,
+    // so a huge per-job limit must not become a huge thread count.
+    JobQueue queue(nullptr, std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(queue.workerCount(),
+              std::max(256u, std::thread::hardware_concurrency()));
+    std::string error;
+    std::uint64_t id = queue.submit(tinyMatrix(), "", &error);
+    ASSERT_NE(id, 0u) << error;
+    EXPECT_EQ(awaitTerminal(queue, id).state, JobState::Done);
+}
+
+TEST(JobQueue, ShutdownWithRunningJobsJoinsEveryWorker)
+{
+    JobQueue queue(nullptr, 1);
+    std::string error;
+    std::uint64_t first =
+        queue.submit(overlapMatrix({1, 2, 3}), "", &error);
+    ASSERT_NE(first, 0u) << error;
+    std::uint64_t second =
+        queue.submit(overlapMatrix({4, 5, 6}), "", &error);
+    ASSERT_NE(second, 0u) << error;
+    awaitStatus(queue, first, [](const JobStatus &status) {
+        return status.state != JobState::Queued;
+    });
+    awaitStatus(queue, second, startedUnlessAlone(queue));
+
+    queue.shutdown();
+    EXPECT_EQ(queue.workerCount(), 0u);
+    for (std::uint64_t id : {first, second}) {
+        std::optional<JobStatus> status = queue.status(id);
+        ASSERT_TRUE(status.has_value());
+        EXPECT_TRUE(jobStateTerminal(status->state)) << id;
+        // In-flight runs were kept; nothing started after shutdown.
+        EXPECT_LT(status->runsCompleted, status->runsTotal) << id;
+    }
+    EXPECT_EQ(queue.submit(tinyMatrix(), "", &error), 0u);
+    EXPECT_NE(error.find("shutting down"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------
@@ -554,6 +766,45 @@ TEST(JobApi, RejectsMalformedSubmissionsWithActionableErrors)
     server.stop();
 }
 
+TEST(JobApi, OversizedMeshIsRejectedAndServingContinues)
+{
+    // A 9x8 mesh is 72 cores, past CoreSet's 64: the POST must get a
+    // 400 (not take the server down) and the next job must complete.
+    JobQueue queue(nullptr, 1);
+    StatsServer server;
+    registerJobRoutes(server, queue);
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1:0", &error)) << error;
+
+    SweepMatrix oversized = tinyMatrix();
+    oversized.base.mesh.width = 9;
+    oversized.base.mesh.height = 8;
+    std::optional<HttpReply> reply = httpRequest(
+        server.address(), "POST", "/jobs",
+        writeSweepRequestJson(oversized, "too-big"), "application/json",
+        &error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    EXPECT_EQ(reply->status, 400);
+    EXPECT_NE(reply->body.find("at most 64"), std::string::npos)
+        << reply->body;
+    EXPECT_EQ(queue.jobsSubmitted(), 0u);
+
+    reply = httpRequest(server.address(), "POST", "/jobs",
+                        writeSweepRequestJson(tinyMatrix(), "fits"),
+                        "application/json", &error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    ASSERT_EQ(reply->status, 200) << reply->body;
+    std::optional<JsonValue> accepted = parseJson(reply->body);
+    ASSERT_TRUE(accepted.has_value());
+    JobStatus status = awaitTerminal(
+        queue, static_cast<std::uint64_t>(accepted->numberAt("job")));
+    EXPECT_EQ(status.state, JobState::Done);
+    EXPECT_EQ(status.runsCompleted, 2u);
+
+    queue.shutdown();
+    server.stop();
+}
+
 // ---------------------------------------------------------------
 // Observability: age GC, lifecycle spans, request-id threading
 // ---------------------------------------------------------------
@@ -664,6 +915,33 @@ TEST(JobQueue, LifecycleSpansTileSubmitToDone)
     ASSERT_TRUE(events->isArray());
     EXPECT_GE(events->items().size(),
               spans.size() + trace.instants().size());
+}
+
+TEST(JobTrace, OverlappingRunsOfConcurrentJobsGetSeparateLanes)
+{
+    // Slot 0 of jobs 1 and 2 overlap; job 1's slot 1 starts after
+    // both ended and reuses the first lane.
+    JobTraceRecorder trace;
+    trace.record(JobSpan{1, "run", 10, 50, "", 0, "ferret"});
+    trace.record(JobSpan{2, "run", 20, 60, "", 0, "fft"});
+    trace.record(JobSpan{1, "run", 60, 90, "", 1, "ferret"});
+    std::ostringstream out;
+    trace.writeChromeTrace(out);
+    std::optional<JsonValue> doc = parseJson(out.str());
+    ASSERT_TRUE(doc.has_value());
+    std::vector<std::pair<double, double>> lanes; // (ts, tid) of runs
+    std::size_t lane_names = 0;
+    for (const JsonValue &event : doc->find("traceEvents")->items()) {
+        if (event.stringAt("name") == "run")
+            lanes.emplace_back(event.numberAt("ts"),
+                               event.numberAt("tid"));
+        if (event.stringAt("name") == "thread_name" &&
+            event.numberAt("pid") == 1)
+            ++lane_names;
+    }
+    EXPECT_EQ(lanes, (std::vector<std::pair<double, double>>{
+                         {10000, 0}, {20000, 1}, {60000, 0}}));
+    EXPECT_EQ(lane_names, 2u);
 }
 
 TEST(JobQueue, QueueWaitHistogramReconcilesWithSubmissions)

@@ -5,9 +5,13 @@
  * evictions, RO-shared token bundles and the persistent fallback.
  */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "coherence_harness.hh"
+#include "trace/critpath.hh"
 
 namespace vsnoop::test
 {
@@ -293,6 +297,45 @@ TEST(TokenProtocol, DataSourceClassification)
 
     auto other = h.access(2, kAddr, false, /*vm=*/3);
     EXPECT_EQ(other.source, DataSource::CacheOtherVm);
+}
+
+TEST(MshrPool, GrowsPastItsReserveAndReusesResetSlots)
+{
+    // The pool reserves one slot (in-order cores block on misses);
+    // a caller overlapping misses on one core must grow it.  A
+    // reused slot that kept its last transaction's critical-path
+    // segments would trip the accountant's conservation assert.
+    CoherenceHarness h;
+    CritPathAccountant critpath(8, 1);
+    h.system->setCritPath(&critpath);
+    CoherenceController &core0 = h.system->controller(0);
+    constexpr std::size_t kOverlap = 4;
+    for (int round = 0; round < 2; ++round) {
+        bool write = round == 1;
+        std::vector<std::shared_ptr<CoherenceHarness::Outcome>> issued;
+        for (std::size_t i = 0; i < kOverlap; ++i)
+            issued.push_back(h.issue(
+                0, kAddr + (round * kOverlap + i) * 0x1000, write));
+        EXPECT_EQ(core0.mshrCount(), kOverlap);
+        // Round two reuses round one's slots instead of growing.
+        EXPECT_EQ(core0.mshrPoolSlots(), kOverlap);
+        h.drain(); // runs dry, then checkInvariants()
+        for (const auto &outcome : issued) {
+            EXPECT_TRUE(outcome->fired);
+            EXPECT_TRUE(outcome->wasMiss);
+            // The released slot no longer holds the callback.
+            EXPECT_EQ(outcome.use_count(), 1);
+        }
+        EXPECT_EQ(core0.mshrCount(), 0u);
+        for (std::size_t i = 0; i < kOverlap; ++i) {
+            const CacheLine *line =
+                h.line(0, kAddr + (round * kOverlap + i) * 0x1000);
+            ASSERT_NE(line, nullptr);
+            EXPECT_EQ(line->tokens, write ? kAllTokens : 1u);
+        }
+    }
+    EXPECT_EQ(core0.mshrPoolSlots(), kOverlap);
+    EXPECT_EQ(critpath.transactions.value(), 2 * kOverlap);
 }
 
 } // namespace vsnoop::test

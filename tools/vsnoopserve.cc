@@ -71,8 +71,11 @@ usage()
         "                        absent (default vsnoop-cache)\n"
         "  --cache-max-mb N      evict least-recently-used cached\n"
         "                        runs beyond N MB (default 512)\n"
-        "  --jobs N              simulation worker threads per job\n"
-        "                        (default hardware concurrency)\n"
+        "  --jobs N              runs one job may simulate at once\n"
+        "                        (default hardware concurrency); up\n"
+        "                        to max(N, nproc) runs execute at\n"
+        "                        once across jobs (N counted up to\n"
+        "                        256)\n"
         "  --http-threads N      HTTP connection workers (default 8)\n"
         "  --max-body-kb N       reject request bodies over N KB\n"
         "                        with 413 (default 1024)\n"
