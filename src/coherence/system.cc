@@ -137,9 +137,7 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
             critpath_->snoopLookupRemote(msg.requesterVm, target);
         if (pagemon_ != nullptr)
             pagemon_->snoopDelivery(msg.line, msg.requesterVm, target);
-        eq_.scheduleFn(arrive, [this, target, msg] {
-            controller(target).handleSnoop(msg);
-        });
+        controller(target).receiveSnoop(msg, arrive);
     });
     if (targets.memory) {
         NodeId mc = memNodeFor(msg.line);

@@ -5,7 +5,8 @@
  *
  * The system is the single place that touches the network: it
  * converts logical sends (snoop to core X, response to requester,
- * tokens back to memory) into timed deliveries via EventQueue, and
+ * tokens back to memory) into timed deliveries via EventQueue (a
+ * snoop's target controller schedules it only if it could hit), and
  * maintains the in-flight token ledger that makes system-wide token
  * conservation checkable at any instant — the key safety property
  * of token coherence.
@@ -120,6 +121,14 @@ class CoherenceSystem
     VmId friendOf(VmId vm) const;
 
     /** @{ Message fabric, used by controllers. */
+    /**
+     * Multicast @p msg from core @p from to @p targets.  Each send
+     * walks the mesh, reserves its links and is charged to the
+     * statistics, critpath and pagemon here, at send time; each
+     * target core's controller then decides through receiveSnoop()
+     * whether its arrival needs an event.  A memory snoop is always
+     * scheduled.
+     */
     void sendSnoops(CoreId from, const SnoopMsg &msg,
                     const SnoopTargets &targets);
     void sendResponseToCore(NodeId from_node, CoreId to,
@@ -271,7 +280,12 @@ class CoherenceSystem
     /** Deliver a snoop at a memory controller. */
     void handleMemorySnoop(const SnoopMsg &msg);
 
-    /** network_.send bracketed with the Network profile phase. */
+    /**
+     * network_.send, charging the queueing wait to the critical-path
+     * accountant when one is attached.  Not profiled on its own: the
+     * host profiler never enters its Network phase, so send time
+     * falls in the caller's phase.
+     */
     Tick netSend(NodeId src, NodeId dst, std::uint32_t bytes,
                  MsgClass cls, Tick now);
 

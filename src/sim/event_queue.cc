@@ -13,6 +13,12 @@ EventQueue::schedule(Event &event, Tick when)
 {
     vsnoop_assert(when >= now_,
                   "scheduling into the past: when=", when, " now=", now_);
+    enqueue(event, when, seq_++);
+}
+
+void
+EventQueue::enqueue(Event &event, Tick when, std::uint64_t seq)
+{
     if (perf_ != nullptr)
         perf_->schedules++;
     if (event.scheduled_) {
@@ -23,16 +29,16 @@ EventQueue::schedule(Event &event, Tick when)
     event.scheduled_ = true;
     event.when_ = when;
     event.token_ = nextToken_++;
-    HeapEntry entry{when, seq_++, &event, event.token_};
+    HeapEntry entry{when, seq, &event, event.token_};
     if (when - now_ < kWheelSize)
-        wheelAppend(entry);
+        wheelInsert(entry);
     else
         heapPush(entry);
     live_++;
 }
 
 void
-EventQueue::wheelAppend(const HeapEntry &entry)
+EventQueue::wheelInsert(const HeapEntry &entry)
 {
     std::uint32_t node = freeNode_;
     if (node == kNil) {
@@ -42,13 +48,24 @@ EventQueue::wheelAppend(const HeapEntry &entry)
     } else {
         freeNode_ = nodes_[node].next;
     }
-    nodes_[node] = WheelNode{entry, kNil};
     Bucket &bucket = wheel_[entry.when & kWheelMask];
-    if (bucket.tail == kNil)
+    if (bucket.tail == kNil) {
+        nodes_[node] = WheelNode{entry, kNil};
         bucket.head = node;
-    else
+        bucket.tail = node;
+    } else if (nodes_[bucket.tail].entry.seq < entry.seq) {
+        nodes_[node] = WheelNode{entry, kNil};
         nodes_[bucket.tail].next = node;
-    bucket.tail = node;
+        bucket.tail = node;
+    } else {
+        // A reserved position: link in before the first later entry
+        // (one exists, the tail).
+        std::uint32_t *link = &bucket.head;
+        while (nodes_[*link].entry.seq < entry.seq)
+            link = &nodes_[*link].next;
+        nodes_[node] = WheelNode{entry, *link};
+        *link = node;
+    }
     bucket.depth++;
     wheelCount_++;
     if (entry.when < peekCursor_)
@@ -88,7 +105,7 @@ EventQueue::advanceTo(Tick t)
                 break;
             HeapEntry moved = top;
             heapPopTop();
-            wheelAppend(moved);
+            wheelInsert(moved);
         } else {
             // The clock never passes a live entry, so an entry left
             // behind it must have been descheduled or rescheduled.
@@ -112,8 +129,8 @@ EventQueue::deschedule(Event &event)
     live_--;
 }
 
-void
-EventQueue::scheduleFn(Tick when, Callback fn)
+EventQueue::OwnedEvent &
+EventQueue::acquireSlot(Callback fn)
 {
     OwnedEvent *slot;
     if (!freeSlots_.empty()) {
@@ -131,7 +148,23 @@ EventQueue::scheduleFn(Tick when, Callback fn)
         }
     }
     slot->fn = std::move(fn);
-    schedule(*slot, when);
+    return *slot;
+}
+
+void
+EventQueue::scheduleFn(Tick when, Callback fn)
+{
+    schedule(acquireSlot(std::move(fn)), when);
+}
+
+void
+EventQueue::scheduleFnAt(Tick when, std::uint64_t seq, Callback fn)
+{
+    vsnoop_assert(seq < seq_, "sequence number ", seq, " was never reserved");
+    vsnoop_assert(afterFrontier(when, seq),
+                  "scheduling before the dispatch frontier: when=", when,
+                  " seq=", seq, " now=", now_);
+    enqueue(acquireSlot(std::move(fn)), when, seq);
 }
 
 void
@@ -256,6 +289,7 @@ void
 EventQueue::dispatch(HeapEntry &entry)
 {
     advanceTo(entry.when);
+    openSeq_ = entry.seq + 1;
     entry.event->scheduled_ = false;
     entry.event->token_ = 0;
     live_--;
@@ -286,8 +320,10 @@ EventQueue::runUntil(Tick until)
         dispatch(entry);
         dispatched++;
     }
-    if (now_ < until)
+    if (now_ < until) {
         advanceTo(until);
+        openSeq_ = UINT64_MAX;
+    }
     return dispatched;
 }
 

@@ -20,17 +20,25 @@
  * tick) without ever being handed its own still-running slot.
  *
  * Pending events live in a calendar queue: a timing wheel of
- * per-tick FIFO buckets covering the near future (where nearly all
+ * per-tick buckets covering the near future (where nearly all
  * protocol events land — message deliveries and retry windows are
  * all well under the wheel span), with a 4-ary min-heap overflow for
- * far-future events (migration epochs, periodic scans).  Insert and
- * extract are O(1) on the wheel path, and dispatch order is exactly
- * the (tick, schedule-order) total order a comparison heap would
- * produce: a bucket only ever receives entries for a single tick in
- * ascending sequence order, and overflow entries for a tick are
- * migrated into its bucket before any direct insert can target it.
+ * far-future events (migration epochs, periodic scans).  A fresh
+ * insert and an extract are O(1) on the wheel path, and dispatch
+ * order is exactly the (tick, schedule-order) total order a
+ * comparison heap would produce: a bucket only ever holds entries
+ * for a single tick in ascending sequence order, and overflow
+ * entries for a tick are migrated into its bucket before any direct
+ * insert can target it.
  *
- * Buckets are FIFO lists threaded through one node slab: a bucket is
+ * A caller may also reserve a schedule-order position (reserveSeq())
+ * and fill it later (scheduleFnAt()): the event then dispatches
+ * exactly where it would have had it been scheduled at reservation
+ * time.  Such an insert walks its bucket to the sequence position,
+ * so buckets stay sorted, and may target only positions after the
+ * dispatch frontier (afterFrontier()).
+ *
+ * Buckets are lists threaded through one node slab: a bucket is
  * a (head, tail) pair of slab indices, and consumed or stale nodes go
  * back on the slab's free list.  The slab therefore never holds more
  * nodes than the most wheel entries ever live at once, where per-tick
@@ -128,6 +136,33 @@ class EventQueue
     /** Schedule a one-shot callback @p delay ticks from now. */
     void scheduleFnIn(Tick delay, Callback fn) {
         scheduleFn(now_ + delay, std::move(fn));
+    }
+
+    /**
+     * Take the schedule-order position the next schedule would get,
+     * for an event that may be filled in later by scheduleFnAt().
+     * Every later schedule orders after it, filled or not.
+     */
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    /**
+     * Schedule a one-shot callback at the reserved position
+     * (@p when, @p seq): it dispatches exactly where a callback
+     * scheduled for @p when at reservation time would have.  Panics
+     * unless the position lies after the dispatch frontier.
+     */
+    void scheduleFnAt(Tick when, std::uint64_t seq, Callback fn);
+
+    /**
+     * True when (@p when, @p seq) has not been passed yet.  The
+     * dispatch frontier is the (tick, seq) of the last dispatched
+     * entry, or (now(), infinity) once runUntil() has moved the clock
+     * past that entry: every position at or before it is settled.
+     */
+    bool
+    afterFrontier(Tick when, std::uint64_t seq) const
+    {
+        return when > now_ || (when == now_ && seq >= openSeq_);
     }
 
     /**
@@ -236,8 +271,10 @@ class EventQueue
 
     /**
      * One wheel slot.  While a tick is within the wheel's window its
-     * bucket is a FIFO list: entries append at tail and drain from
-     * head, each drained node returning to the slab's free list.
+     * bucket is a list in sequence order: fresh entries append at
+     * tail, reserved ones link in at their position, and dispatch
+     * drains from head, each drained node returning to the slab's
+     * free list.
      * depth counts the bucket's nodes, stale ones included.
      */
     struct Bucket
@@ -267,8 +304,18 @@ class EventQueue
     /** Dispatch one popped entry. */
     void dispatch(HeapEntry &entry);
 
-    /** Append to the wheel bucket for entry.when. */
-    void wheelAppend(const HeapEntry &entry);
+    /** Stamp @p event and queue it at (when, seq). */
+    void enqueue(Event &event, Tick when, std::uint64_t seq);
+
+    /** A pool slot holding @p fn, ready to schedule. */
+    OwnedEvent &acquireSlot(Callback fn);
+
+    /**
+     * Insert into the wheel bucket for entry.when at its sequence
+     * position: the tail for a fresh schedule, an earlier node for a
+     * reserved one.
+     */
+    void wheelInsert(const HeapEntry &entry);
 
     /** Unlink @p bucket's head node onto the slab's free list. */
     void popBucketHead(Bucket &bucket);
@@ -276,8 +323,8 @@ class EventQueue
     /**
      * Advance the clock and slide the wheel window: overflow entries
      * that fall inside the new window move into their buckets.  Must
-     * run at every now_ change so bucket FIFO order stays sequence
-     * order (see file comment).
+     * run at every now_ change so overflow entries reach a bucket
+     * before any direct insert for their tick (see file comment).
      */
     void advanceTo(Tick t);
 
@@ -311,6 +358,11 @@ class EventQueue
     std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
+    /**
+     * Lowest sequence number still open at now_: the frontier's seq
+     * plus one, or UINT64_MAX once runUntil() moved the clock past it.
+     */
+    std::uint64_t openSeq_ = 0;
     std::uint64_t nextToken_ = 1;
     std::uint64_t processed_ = 0;
     std::uint64_t live_ = 0;

@@ -400,6 +400,105 @@ TEST(EventQueue, DescheduleInsideABucketKeepsSameTickFifo)
     EXPECT_EQ(eq.wheelSlabNodes(), 6u);
 }
 
+TEST(EventQueue, ReservedSeqOrdersBeforeLaterSameTickSchedules)
+{
+    // A callback filled into a reserved position dispatches where a
+    // schedule made at reservation time would have: after what was
+    // scheduled before the reservation, before what came after it.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.scheduleFn(10, [&] { log.push_back(1); });
+    std::uint64_t seq = eq.reserveSeq();
+    eq.scheduleFn(10, [&] { log.push_back(3); });
+    eq.scheduleFn(5, [&] { log.push_back(0); });
+    eq.scheduleFnAt(10, seq, [&] { log.push_back(2); });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedSeqInsertsIntoTheTickBeingDispatched)
+{
+    // The first event of tick 10 fills a position between itself and
+    // the tick's remaining events.
+    EventQueue eq;
+    std::vector<int> log;
+    std::uint64_t seq = 0;
+    eq.scheduleFn(10, [&] {
+        log.push_back(1);
+        eq.scheduleFnAt(10, seq, [&] { log.push_back(2); });
+    });
+    seq = eq.reserveSeq();
+    eq.scheduleFn(10, [&] { log.push_back(3); });
+    eq.scheduleFn(10, [&] { log.push_back(4); });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST(EventQueue, ReservedSeqBeyondTheWheelGoesThroughOverflow)
+{
+    // Beyond the wheel span the insert lands in the overflow heap,
+    // which orders by (tick, seq); migrating back into the wheel as
+    // the window slides keeps that order.
+    EventQueue eq;
+    std::vector<int> log;
+    std::uint64_t seq = eq.reserveSeq();
+    eq.scheduleFn(100000, [&] { log.push_back(2); });
+    eq.scheduleFnAt(100000, seq, [&] { log.push_back(1); });
+    EXPECT_EQ(eq.overflowEntries(), 2u);
+    EXPECT_EQ(eq.wheelEntries(), 0u);
+    eq.runUntil(99000);
+    EXPECT_EQ(eq.overflowEntries(), 0u);
+    EXPECT_EQ(eq.wheelEntries(), 2u);
+    // A fresh same-tick schedule, now straight into the wheel.
+    eq.scheduleFn(100000, [&] { log.push_back(3); });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, FrontierFollowsStepAndRunUntil)
+{
+    EventQueue eq;
+    EXPECT_TRUE(eq.afterFrontier(0, 0));
+    std::uint64_t first = eq.reserveSeq() + 1;
+    eq.scheduleFn(10, [] {});
+    eq.scheduleFn(10, [] {});
+    eq.scheduleFn(20, [] {});
+
+    // step(): the frontier is the entry just dispatched.
+    ASSERT_TRUE(eq.step());
+    EXPECT_FALSE(eq.afterFrontier(10, first));
+    EXPECT_TRUE(eq.afterFrontier(10, first + 1));
+    EXPECT_FALSE(eq.afterFrontier(9, first + 5));
+
+    // runUntil() ending on an event's tick leaves it the frontier.
+    eq.runUntil(10);
+    EXPECT_FALSE(eq.afterFrontier(10, first + 1));
+    EXPECT_TRUE(eq.afterFrontier(10, first + 2));
+
+    // Once runUntil() moves the clock past it, the whole tick is
+    // settled.
+    eq.runUntil(15);
+    EXPECT_EQ(eq.now(), 15u);
+    EXPECT_FALSE(eq.afterFrontier(15, UINT64_MAX - 1));
+    EXPECT_TRUE(eq.afterFrontier(16, 0));
+    eq.runUntil(20);
+    EXPECT_FALSE(eq.afterFrontier(20, first + 2));
+    EXPECT_TRUE(eq.afterFrontier(20, first + 3));
+}
+
+TEST(EventQueueDeath, ReservedSeqBeforeTheFrontierPanics)
+{
+    EventQueue eq;
+    eq.scheduleFn(10, [] {});
+    std::uint64_t seq = eq.reserveSeq();
+    eq.scheduleFn(10, [] {});
+    eq.run();
+    // (10, seq) lies before the last dispatched entry.
+    EXPECT_DEATH(eq.scheduleFnAt(10, seq, [] {}), "frontier");
+    EXPECT_DEATH(eq.scheduleFnAt(5, seq, [] {}), "frontier");
+}
+
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 {
     EventQueue eq;

@@ -20,7 +20,8 @@ smallConfig()
     SystemConfig cfg;
     cfg.accessesPerVcpu = 3000;
     cfg.l2.sizeBytes = 32 * 1024; // keep runs quick
-    cfg.invariantCheckPeriod = 200000;
+    // In dispatched events; a snoop that misses dispatches none.
+    cfg.invariantCheckPeriod = 50000;
     return cfg;
 }
 

@@ -299,6 +299,43 @@ TEST(TokenProtocol, DataSourceClassification)
     EXPECT_EQ(other.source, DataSource::CacheOtherVm);
 }
 
+TEST(TokenProtocol, SnoopSentBeforeTargetFillHitsAtArrival)
+{
+    // Core B misses on the line.  Core A's GetX leaves while B still
+    // lacks it, but B's fill lands before A's snoop reaches B.  The
+    // snoop must find and take B's copy at arrival, so A collects
+    // every token on its first attempt.
+    constexpr CoreId kA = 0, kB = 15;
+    Tick fill = 0;
+    {
+        CoherenceHarness probe;
+        auto alone = probe.access(kB, kAddr, false);
+        fill = alone.doneAt - probe.system->config().l2Latency;
+    }
+    CoherenceHarness h;
+    Tick flight = h.mesh.unloadedLatency(
+        kA, kB, h.system->config().controlBytes);
+    ASSERT_GT(flight, 2u);
+
+    auto read = h.issue(kB, kAddr, false);
+    h.eq.runUntil(fill - 2);
+    ASSERT_EQ(h.line(kB, kAddr), nullptr);
+    // Reaches B no earlier than fill - 2 + flight, after the fill.
+    auto write = h.issue(kA, kAddr, true);
+    h.drain(); // runs dry, then checkInvariants()
+
+    ASSERT_TRUE(read->fired);
+    ASSERT_TRUE(write->fired);
+    EXPECT_EQ(read->doneAt - h.system->config().l2Latency, fill);
+    EXPECT_EQ(h.system->controller(kB).snoopHits.value(), 1u);
+    EXPECT_EQ(h.line(kB, kAddr), nullptr);
+    EXPECT_EQ(h.system->stats.retries.value(), 0u);
+    const CacheLine *line = h.line(kA, kAddr);
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(line->tokens, kAllTokens);
+    EXPECT_TRUE(line->owner);
+}
+
 TEST(MshrPool, GrowsPastItsReserveAndReusesResetSlots)
 {
     // The pool reserves one slot (in-order cores block on misses);

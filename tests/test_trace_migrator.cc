@@ -81,7 +81,8 @@ TEST(TraceMigrator, SchedulerTraceDrivesCoherenceRun)
     cfg.accessesPerVcpu = 3000;
     cfg.l2.sizeBytes = 32 * 1024;
     cfg.policy = PolicyKind::VirtualSnoop;
-    cfg.invariantCheckPeriod = 200000;
+    // In dispatched events; a snoop that misses dispatches none.
+    cfg.invariantCheckPeriod = 50000;
     cfg.placementTrace =
         std::make_shared<const std::vector<PlacementEvent>>(
             sched_result.trace);
