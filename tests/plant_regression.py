@@ -8,8 +8,10 @@ planted in the first record, then runs
 command.  Succeeds only when that diff reports a regression (exit 1);
 a clean pass or an error (exit 2) fails the check.
 
-KIND is `runtime` (the runtime doubled) or `offdiag` (the off-diagonal
-interference share raised by 0.2, every aggregate metric unchanged).
+KIND is `runtime` (the runtime doubled), `offdiag` (the off-diagonal
+interference share raised by 0.2, every aggregate metric unchanged) or
+`missing` (the runtime key removed, so a dropped metric must not read
+as an improvement).
 """
 
 import json
@@ -22,6 +24,7 @@ PLANTS = {
     "offdiag": lambda r: r["results"]["interference"].update(
         offdiag_snoop_share=r["results"]["interference"]
         ["offdiag_snoop_share"] + 0.2),
+    "missing": lambda r: r["results"].pop("runtime"),
 }
 
 

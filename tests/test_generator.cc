@@ -87,6 +87,7 @@ TEST(Generator, PageTypesMatchCategories)
             break;
           case AccessCategory::Hypervisor:
           case AccessCategory::Domain0:
+          case AccessCategory::Channel:
             EXPECT_EQ(s.access.pageType, PageType::RwShared);
             break;
         }

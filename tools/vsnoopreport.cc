@@ -22,35 +22,18 @@
  *
  *   vsnoopreport --out report.html sweep.jsonl
  *
- * Trend mode charts a bench_selfperf history (one JSONL record per
- * `bench_selfperf --append-history` invocation) as per-phase
- * runs/s, events/s, and sim-cycles/s line charts across commits,
- * so a slow drift that never trips the one-shot --diff gate is
- * still visible:
- *
- *   vsnoopreport --trend BENCH_history.jsonl --out trend.html
- *
  * Diff mode compares two result sets (JSON-lines or single-object
  * files) by run identity (app, policy, relocation, ro_policy,
  * seed) and exits non-zero when any watched metric regressed by
  * more than --threshold (relative), giving CI a perf gate.  Runs
- * that carry "results.interference" on both sides are additionally
+ * whose baseline carries "results.interference" are additionally
  * gated on the off-diagonal snoop-lookup share (absolute delta
  * against the same threshold), so a change that erodes inter-VM
- * isolation fails even when aggregate lookups stay flat:
+ * isolation fails even when aggregate lookups stay flat.  A metric
+ * the baseline has and the current record lacks regresses too:
  *
  *   vsnoopreport --diff BENCH_baseline.json fresh.jsonl \
  *                --threshold 0.05
- *
- * When the baseline is a bench_selfperf output (top-level
- * "selfperf" key), diff mode instead gates host throughput:
- * phases are matched by name and only a drop in runs_per_sec or
- * events_per_sec beyond the threshold regresses — model diffs are
- * two-sided because any drift is suspect, but wall-clock rates
- * only matter in one direction:
- *
- *   vsnoopreport --diff BENCH_selfperf.json fresh.json \
- *                --threshold 0.30
  */
 
 #include <algorithm>
@@ -89,27 +72,16 @@ usage()
         "    section (event-queue occupancy, probe-length\n"
         "    histograms, pool watermarks, mesh backlog).\n"
         "\n"
-        "trend mode:\n"
-        "  vsnoopreport --trend HISTORY.jsonl [--out FILE]\n"
-        "    Chart a bench_selfperf --append-history file (default\n"
-        "    trend.html): per-phase runs/s, events/s and\n"
-        "    sim-cycles/s across records, labeled by commit.\n"
-        "\n"
         "diff mode:\n"
         "  vsnoopreport --diff BASELINE CURRENT [--threshold F]\n"
         "    Match runs by (app, policy, relocation, ro_policy,\n"
         "    seed) and compare runtime, snoop lookups, traffic\n"
         "    byte-hops and mean miss latency.  Exits 1 when any\n"
         "    metric regressed by more than F (default 0.05 = 5%),\n"
-        "    or when a baseline run is missing from CURRENT.\n"
-        "    Records carrying results.interference on both sides\n"
-        "    are also gated on the off-diagonal snoop-lookup share\n"
-        "    (absolute delta vs F).\n"
-        "    When BASELINE is a bench_selfperf output (top-level\n"
-        "    \"selfperf\" key) the gate switches to host throughput:\n"
-        "    phases are matched by name and only a *drop* in\n"
-        "    runs_per_sec or events_per_sec beyond F fails (faster\n"
-        "    never fails); a phase run-count mismatch always fails.\n"
+        "    or when a baseline run, or a metric it carries, is\n"
+        "    missing from CURRENT.  Baseline records carrying\n"
+        "    results.interference are also gated on the off-diagonal\n"
+        "    snoop-lookup share (absolute delta vs F).\n"
         "\n"
         "  --help                this text\n";
 }
@@ -124,9 +96,8 @@ repairHint(const std::string &role, const std::string &path)
 {
     if (role == "baseline")
         return "; regenerate it with 'vsnoopsweep --out " + path +
-               " ...' (or bench_selfperf --out) from a known-good "
-               "checkout, or point --diff at an existing results "
-               "file";
+               " ...' from a known-good checkout, or point --diff "
+               "at an existing results file";
     if (role == "current")
         return "; rerun the sweep that produces it, e.g. "
                "'vsnoopsweep --out " + path + " ...'";
@@ -272,10 +243,19 @@ constexpr WatchedMetric kWatched[] = {
     {"mean_miss_latency", 1e-9},
 };
 
+/** True when the record's "results" carries @p name as a number. */
+bool
+hasResult(const JsonValue &rec, const std::string &name)
+{
+    const JsonValue *results = rec.find("results");
+    const JsonValue *v = results ? results->find(name) : nullptr;
+    return v != nullptr && v->isNumber();
+}
+
 /**
  * Off-diagonal snoop-lookup share from "results.interference", or a
- * negative sentinel when the record predates the interference
- * matrix (old baselines must not trip the gate).
+ * negative sentinel when the record lacks the interference matrix
+ * (old baselines must not trip the gate).
  */
 double
 interferenceShare(const JsonValue &rec)
@@ -288,103 +268,6 @@ interferenceShare(const JsonValue &rec)
     return inter->numberAt("offdiag_snoop_share", -1.0);
 }
 
-// ---------------------------------------------------------------------
-// Self-performance diff (BENCH_selfperf.json schema)
-// ---------------------------------------------------------------------
-
-/**
- * True when a record is a bench_selfperf output: a single object
- * with a top-level "selfperf" key.  Model-result records (run JSON,
- * sweep lines, BENCH_baseline.json) never carry that key.
- */
-bool
-isSelfperf(const std::vector<JsonValue> &records)
-{
-    return records.size() == 1 && records[0].find("selfperf") != nullptr;
-}
-
-/** Higher is better for all of these (one-sided gate on drops). */
-constexpr const char *kSelfperfRates[] = {
-    "runs_per_sec",
-    "events_per_sec",
-};
-
-/**
- * Compare two bench_selfperf records phase-by-phase.  Throughput is
- * host wall-clock, so the gate is one-sided: only a *drop* in
- * runs/sec or events/sec beyond the threshold regresses — a faster
- * current build never fails, and absolute counts (runs, sim cycles)
- * are checked for equality instead, because the matrix is fixed and
- * a count change means the two files measured different work.
- */
-int
-runSelfperfDiff(const JsonValue &base, const JsonValue &cur,
-                double threshold)
-{
-    const JsonValue *bphases = base.find("selfperf")->find("phases");
-    const JsonValue *csp = cur.find("selfperf");
-    const JsonValue *cphases = csp ? csp->find("phases") : nullptr;
-    if (bphases == nullptr || !bphases->isArray())
-        die("baseline selfperf record has no phases array");
-    if (cphases == nullptr || !cphases->isArray())
-        die("current file is not a bench_selfperf record "
-            "(no selfperf.phases)");
-
-    std::map<std::string, const JsonValue *> current_by_name;
-    for (const JsonValue &p : cphases->items())
-        current_by_name[p.stringAt("phase", "?")] = &p;
-
-    int regressions = 0;
-    int improvements = 0;
-    for (const JsonValue &bp : bphases->items()) {
-        std::string name = bp.stringAt("phase", "?");
-        auto it = current_by_name.find(name);
-        if (it == current_by_name.end()) {
-            std::cout << "MISSING    phase " << name
-                      << " (in baseline, not in current)\n";
-            regressions++;
-            continue;
-        }
-        const JsonValue &cp = *it->second;
-        // Fixed-matrix sanity: a run-count mismatch means the two
-        // sides measured different work and rates are meaningless.
-        double bruns = bp.numberAt("runs", 0);
-        double cruns = cp.numberAt("runs", 0);
-        if (bruns != cruns) {
-            std::cout << "REGRESSION phase " << name << " runs: "
-                      << human(bruns) << " -> " << human(cruns)
-                      << " (matrix changed; rates not comparable)\n";
-            regressions++;
-            continue;
-        }
-        for (const char *metric : kSelfperfRates) {
-            double b = bp.numberAt(metric, 0);
-            double c = cp.numberAt(metric, 0);
-            if (b <= 0.0)
-                continue;
-            double rel = (c - b) / b;
-            if (rel < -threshold) {
-                std::cout << "REGRESSION phase " << name << " "
-                          << metric << ": " << human(b) << " -> "
-                          << human(c) << " (" << fmt(100.0 * rel, 1)
-                          << "%)\n";
-                regressions++;
-            } else if (rel > threshold) {
-                std::cout << "improved   phase " << name << " "
-                          << metric << ": " << human(b) << " -> "
-                          << human(c) << " (+" << fmt(100.0 * rel, 1)
-                          << "%)\n";
-                improvements++;
-            }
-        }
-    }
-    std::cout << "vsnoopreport: selfperf diff, "
-              << regressions << " regression(s), " << improvements
-              << " improvement(s) at threshold "
-              << fmt(100.0 * threshold, 1) << "%\n";
-    return regressions > 0 ? 1 : 0;
-}
-
 int
 runDiff(const std::string &baseline_path, const std::string &current_path,
         double threshold)
@@ -393,14 +276,6 @@ runDiff(const std::string &baseline_path, const std::string &current_path,
         loadRecords(baseline_path, "baseline");
     std::vector<JsonValue> current =
         loadRecords(current_path, "current");
-    // bench_selfperf output gates host throughput, not model
-    // results; it gets its own phase-keyed, one-sided comparison.
-    if (isSelfperf(baseline)) {
-        if (!isSelfperf(current))
-            die("baseline is a bench_selfperf record but '" +
-                current_path + "' is not");
-        return runSelfperfDiff(baseline[0], current[0], threshold);
-    }
     std::map<std::string, const JsonValue *> current_by_key;
     for (const JsonValue &rec : current)
         current_by_key[runKey(rec)] = &rec;
@@ -417,6 +292,15 @@ runDiff(const std::string &baseline_path, const std::string &current_path,
             continue;
         }
         for (const WatchedMetric &metric : kWatched) {
+            // A metric the current record dropped is a regression;
+            // read as 0 it would pass as an improvement.
+            if (hasResult(base, metric.name) &&
+                !hasResult(*it->second, metric.name)) {
+                std::cout << "MISSING    " << key << " " << metric.name
+                          << " (in baseline, not in current)\n";
+                regressions++;
+                continue;
+            }
             double b = resultNum(base, metric.name);
             double c = resultNum(*it->second, metric.name);
             if (b < metric.floor) {
@@ -444,11 +328,17 @@ runDiff(const std::string &baseline_path, const std::string &current_path,
         // Inter-VM isolation gate: the off-diagonal snoop-lookup
         // share is already a ratio in [0, 1], so it is compared by
         // absolute delta (a relative test would explode near the
-        // well-filtered zero end).  Skipped when either side lacks
-        // the matrix, so pre-interference baselines keep passing.
+        // well-filtered zero end).  Skipped when the baseline lacks
+        // the matrix, so pre-interference baselines keep passing; a
+        // current record that lost it is MISSING.
         double ib = interferenceShare(base);
         double ic = interferenceShare(*it->second);
-        if (ib >= 0.0 && ic >= 0.0) {
+        if (ib >= 0.0 && ic < 0.0) {
+            std::cout << "MISSING    " << key
+                      << " offdiag_snoop_share (in baseline, not in "
+                         "current)\n";
+            regressions++;
+        } else if (ib >= 0.0) {
             double delta = ic - ib;
             if (delta > threshold) {
                 std::cout << "REGRESSION " << key
@@ -1581,213 +1471,12 @@ runReport(const std::vector<std::string> &inputs,
     return 0;
 }
 
-// ---------------------------------------------------------------------
-// Trend mode (bench_selfperf --append-history output)
-// ---------------------------------------------------------------------
-
-/** Per-phase throughput rates charted across history records. */
-constexpr const char *kTrendMetrics[] = {
-    "runs_per_sec",
-    "events_per_sec",
-    "sim_cycles_per_sec",
-};
-
-/** One line on a trend chart: a phase's rate per history record. */
-struct TrendSeries
-{
-    std::string phase;
-    std::vector<double> values;
-};
-
-/**
- * Multi-series line chart over history records: one line per phase,
- * x advancing one step per record, hover labels carrying the commit
- * each record was measured at.  Phase colors reuse the segment
- * palette so the same phase wears the same color on every metric's
- * chart.
- */
-std::string
-trendSvg(const std::string &title,
-         const std::vector<std::string> &xlabels,
-         const std::vector<TrendSeries> &series)
-{
-    constexpr int kW = 640, kPlotH = 150;
-    int legend_lines =
-        static_cast<int>((series.size() + 3) / 4);
-    int top = 22 + 16 * legend_lines + 6;
-    int h = top + kPlotH + 26;
-    std::size_t n = xlabels.size();
-
-    double max_v = 0.0;
-    for (const TrendSeries &s : series)
-        for (double v : s.values)
-            max_v = std::max(max_v, v);
-    if (max_v <= 0.0)
-        max_v = 1.0;
-
-    auto px = [&](std::size_t i) {
-        if (n <= 1)
-            return static_cast<double>(kW) / 2.0;
-        return 10.0 + static_cast<double>(i) /
-                          static_cast<double>(n - 1) * (kW - 20);
-    };
-    auto py = [&](double v) {
-        return static_cast<double>(top + kPlotH) - v / max_v * kPlotH;
-    };
-
-    std::ostringstream svg;
-    svg << "<svg class=\"trend\" width=\"" << kW << "\" height=\"" << h
-        << "\" viewBox=\"0 0 " << kW << " " << h
-        << "\" role=\"img\" aria-label=\"" << htmlEscape(title)
-        << "\">\n";
-    svg << "<text x=\"0\" y=\"12\" class=\"charttitle\">"
-        << htmlEscape(title) << "</text>\n";
-    for (std::size_t s = 0; s < series.size(); ++s) {
-        int lx = 10 + static_cast<int>(s % 4) * 156;
-        int ly = 22 + static_cast<int>(s / 4) * 16;
-        svg << "<rect x=\"" << lx << "\" y=\"" << ly
-            << "\" width=\"10\" height=\"10\" rx=\"2\" fill=\""
-            << kSegColors[s % kNumSegColors] << "\"/>"
-            << "<text x=\"" << lx + 14 << "\" y=\"" << ly + 9 << "\">"
-            << htmlEscape(series[s].phase) << "</text>\n";
-    }
-    for (int g = 0; g <= 2; ++g) {
-        int gy = top + kPlotH * g / 2;
-        svg << "<line x1=\"10\" y1=\"" << gy << "\" x2=\"" << kW - 10
-            << "\" y2=\"" << gy << "\" class=\"gridline\"/>\n";
-    }
-    svg << "<text x=\"10\" y=\"" << top - 4 << "\">" << human(max_v)
-        << "</text>\n";
-    if (n > 0) {
-        svg << "<text x=\"10\" y=\"" << top + kPlotH + 14 << "\">"
-            << htmlEscape(xlabels.front()) << "</text>\n";
-        if (n > 1)
-            svg << "<text x=\"" << kW - 10 << "\" y=\""
-                << top + kPlotH + 14 << "\" text-anchor=\"end\">"
-                << htmlEscape(xlabels.back()) << "</text>\n";
-    }
-    for (std::size_t s = 0; s < series.size(); ++s) {
-        const TrendSeries &ts = series[s];
-        const char *color = kSegColors[s % kNumSegColors];
-        std::ostringstream pts;
-        for (std::size_t i = 0; i < ts.values.size() && i < n; ++i)
-            pts << fmt(px(i), 1) << "," << fmt(py(ts.values[i]), 1)
-                << " ";
-        svg << "<polyline points=\"" << pts.str()
-            << "\" fill=\"none\" stroke=\"" << color
-            << "\" stroke-width=\"2\"/>\n";
-        for (std::size_t i = 0; i < ts.values.size() && i < n; ++i) {
-            svg << "<circle cx=\"" << fmt(px(i), 1) << "\" cy=\""
-                << fmt(py(ts.values[i]), 1)
-                << "\" r=\"5\" class=\"hit\"><title>"
-                << htmlEscape(xlabels[i]) << " "
-                << htmlEscape(ts.phase) << ": "
-                << human(ts.values[i]) << "</title></circle>\n";
-        }
-    }
-    svg << "</svg>\n";
-    return svg.str();
-}
-
-/**
- * Chart a bench_selfperf history file: one card per throughput
- * metric, one line per phase (plus the matrix total), x stepping
- * through the records in file order.  A record's commit label gets
- * a trailing * when it was measured from a dirty build
- * (--allow-dirty), so suspect points are visible on the chart.
- */
-int
-runTrend(const std::string &path, const std::string &out_path)
-{
-    std::vector<JsonValue> records = loadRecords(path, "history");
-
-    std::vector<std::string> phase_names;
-    std::vector<std::string> xlabels;
-    // rates[metric][phase] -> one value per record.
-    std::map<std::string, std::map<std::string, std::vector<double>>>
-        rates;
-    auto notePhase = [&](const std::string &name) {
-        if (std::find(phase_names.begin(), phase_names.end(), name) ==
-            phase_names.end())
-            phase_names.push_back(name);
-    };
-    for (std::size_t r = 0; r < records.size(); ++r) {
-        const JsonValue &rec = records[r];
-        const JsonValue *phases = rec.find("phases");
-        if (phases == nullptr || !phases->isArray())
-            die("'" + path + "' record " + std::to_string(r + 1) +
-                " has no phases array; is this a bench_selfperf "
-                "--append-history file?");
-        const JsonValue *meta = rec.find("meta");
-        std::string label =
-            meta ? meta->stringAt("git", "?") : std::string("?");
-        if (rec.numberAt("dirty", 0) != 0.0 &&
-            label.find("-dirty") == std::string::npos)
-            label += "*";
-        xlabels.push_back(label);
-
-        auto record_phase = [&](const JsonValue &p) {
-            std::string name = p.stringAt("phase", "?");
-            notePhase(name);
-            for (const char *metric : kTrendMetrics) {
-                std::vector<double> &vals = rates[metric][name];
-                // Pad phases absent from earlier records so every
-                // series stays index-aligned with xlabels.
-                vals.resize(r, 0.0);
-                vals.push_back(p.numberAt(metric, 0));
-            }
-        };
-        for (const JsonValue &p : phases->items())
-            record_phase(p);
-        if (const JsonValue *total = rec.find("total"))
-            record_phase(*total);
-    }
-    for (auto &metric : rates)
-        for (auto &phase : metric.second)
-            phase.second.resize(records.size(), 0.0);
-
-    std::ofstream os(out_path, std::ios::binary);
-    if (!os)
-        die("cannot open --out file '" + out_path + "'");
-    os << "<!doctype html>\n<html lang=\"en\">\n<head>\n"
-          "<meta charset=\"utf-8\">\n"
-          "<meta name=\"viewport\" content=\"width=device-width, "
-          "initial-scale=1\">\n"
-          "<title>vsnoop selfperf trend</title>\n<style>"
-       << kCss << "</style>\n</head>\n<body class=\"viz\">\n"
-       << "<div class=\"page\">\n<h1>selfperf throughput trend</h1>\n"
-       << "<p class=\"meta\">" << records.size() << " record(s) from "
-       << htmlEscape(path)
-       << "; * marks records measured from a dirty build; hover any "
-          "point for exact values.</p>\n";
-    for (const char *metric : kTrendMetrics) {
-        std::vector<TrendSeries> series;
-        for (const std::string &name : phase_names)
-            series.push_back({name, rates[metric][name]});
-        os << "<section class=\"card\">\n";
-        os << "<h2>" << htmlEscape(metric) << "</h2>\n";
-        os << "<div class=\"charts\">\n"
-           << trendSvg(std::string(metric) + " per phase", xlabels,
-                       series)
-           << "</div>\n";
-        os << "</section>\n";
-    }
-    os << "</div>\n</body>\n</html>\n";
-    if (!os)
-        die("write to '" + out_path + "' failed");
-    std::cerr << "vsnoopreport: wrote " << out_path << " ("
-              << records.size() << " history record(s), "
-              << phase_names.size() << " phase(s))\n";
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool diff_mode = false;
-    bool trend_mode = false;
     double threshold = 0.05;
     std::string out_path;
     std::vector<std::string> inputs;
@@ -1800,8 +1489,6 @@ main(int argc, char **argv)
             return 0;
         } else if (flag == "--diff") {
             diff_mode = true;
-        } else if (flag == "--trend") {
-            trend_mode = true;
         } else if (flag == "--threshold") {
             std::string value = args.value();
             char *end = nullptr;
@@ -1818,18 +1505,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (diff_mode && trend_mode)
-        die("--diff and --trend are mutually exclusive");
     if (diff_mode) {
         if (inputs.size() != 2)
             die("--diff expects exactly two files: baseline current");
         return runDiff(inputs[0], inputs[1], threshold);
-    }
-    if (trend_mode) {
-        if (inputs.size() != 1)
-            die("--trend expects exactly one history file");
-        return runTrend(inputs[0],
-                        out_path.empty() ? "trend.html" : out_path);
     }
     if (inputs.empty())
         die("no input files (try --help)");
