@@ -212,14 +212,7 @@ CoherenceController::access(const MemAccess &access,
     // The requester's own (missing) tag lookup counts as one snoop
     // lookup, so that a broadcast over n cores costs n lookups
     // total, matching the paper's normalization.
-    system_.stats.snoopLookups.inc();
-    if (CritPathAccountant *cp = system_.critpath())
-        cp->snoopLookupLocal(access.vm);
-    // The page monitor charges at the same two sites as the
-    // interference matrix (here and at remote delivery) so its
-    // per-page lookup sum reconciles with both.
-    if (PageMon *pm = system_.pagemon())
-        pm->miss(line_addr, access.vm);
+    system_.chargeLookup(line_addr, access.vm, kInvalidCore);
 
     std::uint32_t slot;
     if (!freeMshrs_.empty()) {
@@ -618,9 +611,8 @@ CoherenceController::handleResponse(const ResponseMsg &msg)
     if (msg.hasData && !msg.fromMemory) {
         // Cache-to-cache data delivery: interference bytes from the
         // supplying VM's cache into the requester.
-        if (CritPathAccountant *cp = system_.critpath())
-            cp->bytesDelivered(mshr.access.vm, msg.sourceVm,
-                               system_.config().dataBytes);
+        system_.critpath().bytesDelivered(mshr.access.vm, msg.sourceVm,
+                                          system_.config().dataBytes);
     }
     if (mshr.upgrade) {
         CacheLine *line = cache_.find(msg.line);
@@ -704,9 +696,8 @@ CoherenceController::tryComplete(Mshr &mshr)
     // [issued, now] contiguously, so the segments now sum to the
     // end-to-end latency exactly (asserted by the accountant).
     mshr.charge(done, CritSegment::DataReturn);
-    if (CritPathAccountant *cp = system_.critpath())
-        cp->recordTransaction(mshr.seg, latency, mshr.reason,
-                              mshr.access.vm);
+    system_.critpath().recordTransaction(mshr.seg, latency, mshr.reason,
+                                         mshr.access.vm);
     system_.stats.missLatency.sample(static_cast<double>(latency));
     system_.stats.latency.sample(latency);
     system_.stats.latencyByReason[static_cast<std::size_t>(mshr.reason)]

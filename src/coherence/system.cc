@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
-#include "trace/critpath.hh"
 #include "trace/pagemon.hh"
 
 namespace vsnoop
@@ -21,6 +19,8 @@ CoherenceSystem::CoherenceSystem(EventQueue &eq, Network &network,
       memory_(config.numCores,
               std::min<std::uint32_t>(4, network.numNodes()),
               config.memLatency),
+      critpath_(static_cast<std::uint32_t>(num_vms),
+                config.tagLookupCycles),
       friendOf_(num_vms, kInvalidVm)
 {
     vsnoop_assert(config_.numCores <= network.numNodes(),
@@ -75,13 +75,23 @@ Tick
 CoherenceSystem::netSend(NodeId src, NodeId dst, std::uint32_t bytes,
                          MsgClass cls, Tick now)
 {
-    if (critpath_ != nullptr) {
-        SendInfo info;
-        Tick arrive = network_.send(src, dst, bytes, cls, now, &info);
-        critpath_->nocWait(cls, info.queueWait);
-        return arrive;
-    }
-    return network_.send(src, dst, bytes, cls, now);
+    Tick wait = 0;
+    Tick arrive = network_.send(src, dst, bytes, cls, now, &wait);
+    critpath_.nocWait(cls, wait);
+    return arrive;
+}
+
+void
+CoherenceSystem::chargeLookup(HostAddr line, VmId requester, CoreId target)
+{
+    bool miss = target == kInvalidCore;
+    VmId holder = requester;
+    if (!miss)
+        holder = coreVm_ != nullptr ? coreVm_[target] : kInvalidVm;
+    stats.snoopLookups.inc();
+    critpath_.lookup(requester, holder);
+    if (pagemon_ != nullptr)
+        pagemon_->lookup(line, requester, holder, miss);
 }
 
 void
@@ -128,15 +138,9 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
         Tick arrive = netSend(from, target, config_.controlBytes,
                               MsgClass::Request, now);
         stats.snoopsDelivered.inc();
-        stats.snoopLookups.inc();
-        // Charged at send (next to snoopLookups) so the interference
-        // matrix total reconciles with the counter at any instant,
-        // warmup reset included.  The page monitor charges here for
-        // the same reason: its per-page lookup sum must match too.
-        if (critpath_ != nullptr)
-            critpath_->snoopLookupRemote(msg.requesterVm, target);
-        if (pagemon_ != nullptr)
-            pagemon_->snoopDelivery(msg.line, msg.requesterVm, target);
+        // Charged at send, not at delivery, so every lookup total
+        // matches the counter at any instant, warmup reset included.
+        chargeLookup(msg.line, msg.requesterVm, target);
         controller(target).receiveSnoop(msg, arrive);
     });
     if (targets.memory) {
@@ -199,8 +203,7 @@ CoherenceSystem::resetStats()
     // The accountant resets with the protocol counters: a snoop
     // sent before the boundary is dropped from both sides at once,
     // keeping matrix total == snoopLookups exactly.
-    if (critpath_ != nullptr)
-        critpath_->resetStats();
+    critpath_.resetStats();
     if (pagemon_ != nullptr)
         pagemon_->resetStats();
     memory_.reads.reset();

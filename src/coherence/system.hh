@@ -25,12 +25,11 @@
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_table.hh"
+#include "trace/critpath.hh"
 
 namespace vsnoop
 {
 
-class CritPathAccountant;
-class HostProfiler;
 class PageMon;
 class TraceSink;
 
@@ -123,11 +122,11 @@ class CoherenceSystem
     /** @{ Message fabric, used by controllers. */
     /**
      * Multicast @p msg from core @p from to @p targets.  Each send
-     * walks the mesh, reserves its links and is charged to the
-     * statistics, critpath and pagemon here, at send time; each
-     * target core's controller then decides through receiveSnoop()
-     * whether its arrival needs an event.  A memory snoop is always
-     * scheduled.
+     * walks the mesh, reserves its links and charges its lookup
+     * through chargeLookup() here, at send time; each target core's
+     * controller then decides through receiveSnoop() whether its
+     * arrival needs an event.  A memory snoop is always scheduled
+     * and is not a lookup.
      */
     void sendSnoops(CoreId from, const SnoopMsg &msg,
                     const SnoopTargets &targets);
@@ -171,12 +170,11 @@ class CoherenceSystem
 
     /**
      * Attach (or detach, with nullptr) the page-level monitor
-     * (trace/pagemon.hh).  The controllers charge its per-page
-     * counters at exactly the stats.snoopLookups charge sites
-     * behind a branch-on-null, so the top-K page totals reconcile
-     * with the counter and the interference-matrix total at any
-     * instant; resetStats() resets it alongside both.  The monitor
-     * must outlive the system.
+     * (trace/pagemon.hh).  chargeLookup() charges its per-page
+     * counters behind a branch-on-null, next to stats.snoopLookups,
+     * so the top-K page totals reconcile with the counter and the
+     * interference-matrix total at any instant; resetStats() resets
+     * it alongside both.  The monitor must outlive the system.
      */
     void setPagemon(PageMon *pagemon) { pagemon_ = pagemon; }
 
@@ -184,33 +182,23 @@ class CoherenceSystem
     PageMon *pagemon() const { return pagemon_; }
 
     /**
-     * Attach (or detach, with nullptr) a host self-profiler.
-     * Protocol work and network sends are bracketed with
-     * ProfileScope guards that branch on the pointer, mirroring
-     * the trace hooks.  The profiler must outlive the system.
+     * The per-core VM table (VcpuMapping::vmAtTable()) from which
+     * chargeLookup() reads the VM of each snooped core.  Without
+     * one, every snooped core counts as idle (the host column).
+     * The table must outlive the system.
      */
-    void setProfiler(HostProfiler *profiler) { profiler_ = profiler; }
-
-    /** The active profiler, or nullptr when profiling is off. */
-    HostProfiler *profiler() const { return profiler_; }
+    void setCoreVmTable(const VmId *table) { coreVm_ = table; }
 
     /**
-     * Attach (or detach, with nullptr) a critical-path accountant
-     * (trace/critpath.hh).  Controllers charge per-transaction
-     * segment timelines and the fabric charges snoop deliveries to
-     * the inter-VM interference matrix through critpath(); the
-     * branch-on-null makes the hooks free when detached.  The
-     * accountant must outlive the system, and resetStats() resets
-     * it alongside the protocol counters so the matrix totals stay
-     * reconcilable with CoherenceStats::snoopLookups.
+     * The critical-path accountant (trace/critpath.hh), owned and
+     * always on.  Controllers charge per-transaction segment
+     * timelines and cache-to-cache bytes to it, netSend() charges
+     * NoC queue waits, and chargeLookup() charges the interference
+     * matrix.  resetStats() resets it alongside the protocol
+     * counters, so the matrix total stays equal to
+     * CoherenceStats::snoopLookups.
      */
-    void setCritPath(CritPathAccountant *accountant)
-    {
-        critpath_ = accountant;
-    }
-
-    /** The active accountant, or nullptr when detached. */
-    CritPathAccountant *critpath() const { return critpath_; }
+    CritPathAccountant &critpath() { return critpath_; }
 
     /**
      * Attach (or detach, with nullptr) the perfmon counter blocks
@@ -282,12 +270,23 @@ class CoherenceSystem
 
     /**
      * network_.send, charging the queueing wait to the critical-path
-     * accountant when one is attached.  Not profiled on its own: the
-     * host profiler never enters its Network phase, so send time
-     * falls in the caller's phase.
+     * accountant.  Not profiled on its own: the host profiler never
+     * enters its Network phase, so send time falls in the caller's
+     * phase.
      */
     Tick netSend(NodeId src, NodeId dst, std::uint32_t bytes,
                  MsgClass cls, Tick now);
+
+    /**
+     * Charge one snoop lookup of @p line induced by @p requester:
+     * stats.snoopLookups, the accountant's interference matrix and,
+     * when attached, the page monitor.  This is the only code that
+     * counts a lookup, so the three reconcile exactly.  @p target is
+     * the snooped core, whose VM is read once from the core->VM
+     * table; kInvalidCore is the requester's own tag check on a
+     * miss, which runs on a core of the requesting VM.
+     */
+    void chargeLookup(HostAddr line, VmId requester, CoreId target);
 
     /** In-flight token ledger bookkeeping. */
     void inflightAdd(HostAddr line, std::uint32_t tokens, bool owner);
@@ -302,12 +301,12 @@ class CoherenceSystem
     EventQueue &eq_;
     Network &network_;
     TraceSink *trace_ = nullptr;
-    HostProfiler *profiler_ = nullptr;
-    CritPathAccountant *critpath_ = nullptr;
     PageMon *pagemon_ = nullptr;
+    const VmId *coreVm_ = nullptr;
     SnoopTargetPolicy &policy_;
     ProtocolConfig config_;
     MainMemory memory_;
+    CritPathAccountant critpath_;
     std::vector<std::unique_ptr<CoherenceController>> controllers_;
     std::vector<NodeId> memNodes_;
     FlatMap<InflightState> inflight_;

@@ -206,11 +206,13 @@ VirtualSnoopPolicy::targets(CoreId requester, const MemAccess &access,
     if (attempt == 1) {
         tmpl->firstAttempt->inc();
         // Filtered means the destination set was narrowed below a
-        // broadcast: multicast within a map or memory-direct.
-        if (pagemon_ != nullptr) {
-            pagemon_->policyDecision(
-                access.addr,
-                tmpl->firstAttempt != &broadcastRequests);
+        // broadcast: multicast within a map or memory-direct.  The
+        // attached system's page monitor (trace/pagemon.hh) records
+        // the decision for the touched page.
+        PageMon *pm = system_ != nullptr ? system_->pagemon() : nullptr;
+        if (pm != nullptr) {
+            pm->policyDecision(access.addr,
+                               tmpl->firstAttempt != &broadcastRequests);
         }
     }
     return t;

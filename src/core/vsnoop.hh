@@ -43,7 +43,6 @@ namespace vsnoop
 {
 
 class CoherenceSystem;
-class PageMon;
 enum class TraceEventKind : std::uint8_t;
 
 /** Relocation (vCPU map maintenance) modes, Section IV-B. */
@@ -130,14 +129,6 @@ class VirtualSnoopPolicy : public SnoopTargetPolicy,
 
     /** Configure a friend VM (used when roPolicy is FriendVm). */
     void setFriend(VmId vm, VmId friend_vm);
-
-    /**
-     * Attach (or detach, with nullptr) the page-level monitor
-     * (trace/pagemon.hh): every first transient attempt reports its
-     * filtered-vs-broadcast decision for the touched page, behind a
-     * branch-on-null.  The monitor must outlive the policy.
-     */
-    void setPagemon(PageMon *pagemon) { pagemon_ = pagemon; }
 
     /** Current vCPU map (snoop domain) of @p vm. */
     CoreSet vcpuMap(VmId vm) const;
@@ -233,7 +224,6 @@ class VirtualSnoopPolicy : public SnoopTargetPolicy,
     std::uint32_t numVms_;
     VsnoopConfig config_;
     CoherenceSystem *system_ = nullptr;
-    PageMon *pagemon_ = nullptr;
     CoreSet allCores_;
     std::vector<CoreSet> map_;
     std::vector<CoreSet> running_;

@@ -84,7 +84,7 @@ Mesh::unloadedLatency(NodeId src, NodeId dst, std::uint32_t bytes) const
 
 Tick
 Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
-           Tick now, SendInfo *info)
+           Tick now, Tick *queueWait)
 {
     vsnoop_assert(src < numNodes() && dst < numNodes(),
                   "node out of range: src=", src, " dst=", dst);
@@ -98,8 +98,6 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
     stats_.bytes[ci].inc(bytes);
     stats_.byteHops[ci].inc(linkBytesCarried *
                             std::max<std::uint32_t>(hops, 1));
-    if (info != nullptr)
-        *info = SendInfo{hops, 0};
 
     if (src == dst) {
         // The aggregate metric charged one hop; the loopback
@@ -130,8 +128,8 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
             Tick ready = head + routerPipeline_;
             if (link.free > ready) {
                 link.waitCycles += link.free - ready;
-                if (info != nullptr)
-                    info->queueWait += link.free - ready;
+                if (queueWait != nullptr)
+                    *queueWait += link.free - ready;
             }
             // Zero-wait hops land in bucket 0, so the histogram is
             // the full backlog distribution, not just its tail.
@@ -214,12 +212,11 @@ IdealCrossbar::IdealCrossbar(std::uint32_t num_nodes, Tick latency,
 
 Tick
 IdealCrossbar::send(NodeId src, NodeId dst, std::uint32_t bytes,
-                    MsgClass cls, Tick now, SendInfo *info)
+                    MsgClass cls, Tick now,
+                    Tick * /* queueWait: contention-free, never waits */)
 {
     vsnoop_assert(src < numNodes_ && dst < numNodes_,
                   "node out of range: src=", src, " dst=", dst);
-    if (info != nullptr)
-        *info = SendInfo{src == dst ? 0u : 1u, 0};
     auto ci = static_cast<std::size_t>(cls);
     std::uint32_t flits =
         std::max<std::uint32_t>(1, (bytes + linkBytes_ - 1) / linkBytes_);

@@ -55,7 +55,7 @@ class Mesh : public Network
 
     Tick send(NodeId src, NodeId dst, std::uint32_t bytes,
               MsgClass cls, Tick now,
-              SendInfo *info = nullptr) override;
+              Tick *queueWait = nullptr) override;
 
     std::uint32_t numNodes() const override { return width_ * height_; }
 
@@ -164,7 +164,7 @@ class IdealCrossbar : public Network
 
     Tick send(NodeId src, NodeId dst, std::uint32_t bytes,
               MsgClass cls, Tick now,
-              SendInfo *info = nullptr) override;
+              Tick *queueWait = nullptr) override;
 
     std::uint32_t numNodes() const override { return numNodes_; }
 

@@ -116,22 +116,6 @@ struct LinkStat
 };
 
 /**
- * Per-send observability, filled by send() when the caller asks.
- * Reporting only: requesting it never changes delivery timing.
- */
-struct SendInfo
-{
-    /** Physical links traversed (0 for node-local delivery). */
-    std::uint32_t hops = 0;
-    /**
-     * Cycles the message waited for busy links along its path, on
-     * top of the unloaded latency.  The critical-path layer
-     * aggregates this per message class (trace/critpath.hh).
-     */
-    Tick queueWait = 0;
-};
-
-/**
  * Network interface.
  */
 class Network
@@ -142,13 +126,16 @@ class Network
     /**
      * Send @p bytes from @p src to @p dst, departing at @p now.
      *
-     * @param info When non-null, receives per-send hop and
-     *        queue-wait observability (see SendInfo).
+     * @param queueWait When non-null, the cycles the message waited
+     *        for busy links along its path, on top of the unloaded
+     *        latency, are added to it.  The critical-path layer
+     *        aggregates them per message class (trace/critpath.hh).
+     *        Reporting only: it never changes delivery timing.
      * @return Tick at which the last flit arrives at @p dst.
      */
     virtual Tick send(NodeId src, NodeId dst, std::uint32_t bytes,
                       MsgClass cls, Tick now,
-                      SendInfo *info = nullptr) = 0;
+                      Tick *queueWait = nullptr) = 0;
 
     /** Number of network nodes. */
     virtual std::uint32_t numNodes() const = 0;

@@ -312,7 +312,7 @@ EventQueue::run(std::uint64_t limit)
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
-    ProfileScope scope(profiler_, profilePhase_);
+    ProfileScope scope(profiler_, HostProfiler::Phase::Coherence);
     std::uint64_t dispatched = 0;
     HeapEntry entry;
     while (peekNext(entry) && entry.when <= until) {

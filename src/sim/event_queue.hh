@@ -184,20 +184,17 @@ class EventQueue
     std::uint64_t runUntil(Tick until);
 
     /**
-     * Attribute runUntil() dispatch time to @p phase on @p profiler
-     * (one scope per runUntil call, not per event — per-event clock
-     * reads at tens of millions of events/s were a measurable share
-     * of the whole simulation).  Nested scopes opened by individual
-     * events (e.g. workload generation) still subtract themselves
-     * from the bracket, so exclusive attribution is preserved at
-     * phase granularity.  run() is deliberately not bracketed: the
-     * end-of-run drain calls it inside its own Drain scope.
+     * Attribute runUntil() dispatch time to the Coherence phase of
+     * @p profiler (one scope per runUntil call, not per event —
+     * per-event clock reads at tens of millions of events/s were a
+     * measurable share of the whole simulation).  Nested scopes
+     * opened by individual events (e.g. workload generation) still
+     * subtract themselves from the bracket, so exclusive attribution
+     * is preserved at phase granularity.  run() is deliberately not
+     * bracketed: the end-of-run drain calls it inside its own Drain
+     * scope.
      */
-    void setDispatchProfile(HostProfiler *profiler,
-                            HostProfiler::Phase phase) {
-        profiler_ = profiler;
-        profilePhase_ = phase;
-    }
+    void setDispatchProfile(HostProfiler *profiler) { profiler_ = profiler; }
 
     /** Dispatch exactly one event if any is pending. */
     bool step();
@@ -352,7 +349,6 @@ class EventQueue
     bool peekFromOverflow_ = false;
     std::vector<HeapEntry> overflow_;
     HostProfiler *profiler_ = nullptr;
-    HostProfiler::Phase profilePhase_ = HostProfiler::Phase::Coherence;
     EventQueuePerf *perf_ = nullptr;
     std::vector<std::unique_ptr<OwnedEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;

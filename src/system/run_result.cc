@@ -100,74 +100,70 @@ RunResult::writeJson(JsonWriter &json) const
     }
     json.endObject();
     json.endObject();
-    if (r.critpath.enabled) {
-        const CritPathSnapshot &cp = r.critpath;
-        json.key("critpath").beginObject();
-        json.key("segments").beginObject();
-        for (std::size_t s = 0; s < kNumCritSegments; ++s) {
-            json.key(critSegmentName(static_cast<CritSegment>(s)));
-            cp.segments[s].writeJson(json);
-        }
-        json.endObject();
-        // Per-reason and per-VM splits stay compact: the count is
-        // the group's transactions, seg_sums its total ticks per
-        // segment (mean = sum / count).
-        json.key("by_reason").beginObject();
-        for (std::size_t i = 0; i < kNumFilterReasons; ++i) {
-            json.key(filterReasonName(static_cast<FilterReason>(i)))
-                .beginObject();
-            json.key("count").value(cp.byReason[0][i].count);
-            json.key("seg_sums").beginObject();
-            for (std::size_t s = 0; s < kNumCritSegments; ++s)
-                json.key(critSegmentName(static_cast<CritSegment>(s)))
-                    .value(cp.byReason[s][i].sum);
-            json.endObject();
-            json.endObject();
-        }
-        json.endObject();
-        json.key("by_vm").beginObject();
-        for (std::uint32_t row = 0; row < cp.vmRows; ++row) {
-            json.key(vmRowLabel(row, cp.vmRows)).beginObject();
-            json.key("count").value(cp.vmCell(0, row).count);
-            json.key("seg_sums").beginObject();
-            for (std::size_t s = 0; s < kNumCritSegments; ++s)
-                json.key(critSegmentName(static_cast<CritSegment>(s)))
-                    .value(cp.vmCell(s, row).sum);
-            json.endObject();
-            json.endObject();
-        }
-        json.endObject();
-        json.key("noc_wait_cycles").beginObject();
-        for (std::size_t c = 0; c < kNumMsgClasses; ++c)
-            json.key(msgClassName(static_cast<MsgClass>(c)))
-                .value(cp.nocWaitCycles[c]);
+    const CritPathSnapshot &cp = r.critpath;
+    json.key("critpath").beginObject();
+    json.key("segments").beginObject();
+    for (std::size_t s = 0; s < kNumCritSegments; ++s) {
+        json.key(critSegmentName(static_cast<CritSegment>(s)));
+        cp.segments[s].writeJson(json);
+    }
+    json.endObject();
+    // Per-reason and per-VM splits stay compact: the count is
+    // the group's transactions, seg_sums its total ticks per
+    // segment (mean = sum / count).
+    json.key("by_reason").beginObject();
+    for (std::size_t i = 0; i < kNumFilterReasons; ++i) {
+        json.key(filterReasonName(static_cast<FilterReason>(i)))
+            .beginObject();
+        json.key("count").value(cp.byReason[0][i].count);
+        json.key("seg_sums").beginObject();
+        for (std::size_t s = 0; s < kNumCritSegments; ++s)
+            json.key(critSegmentName(static_cast<CritSegment>(s)))
+                .value(cp.byReason[s][i].sum);
         json.endObject();
         json.endObject();
     }
-    if (r.interference.enabled) {
-        const InterferenceSnapshot &in = r.interference;
-        auto matrix = [&](const char *name,
-                          const std::vector<std::uint64_t> &m) {
-            json.key(name).beginArray();
-            for (std::uint32_t row = 0; row < in.dim; ++row) {
-                json.beginArray();
-                for (std::uint32_t col = 0; col < in.dim; ++col)
-                    json.value(in.at(m, row, col));
-                json.endArray();
-            }
+    json.endObject();
+    json.key("by_vm").beginObject();
+    for (std::uint32_t row = 0; row < cp.vmRows; ++row) {
+        json.key(vmRowLabel(row, cp.vmRows)).beginObject();
+        json.key("count").value(cp.vmCell(0, row).count);
+        json.key("seg_sums").beginObject();
+        for (std::size_t s = 0; s < kNumCritSegments; ++s)
+            json.key(critSegmentName(static_cast<CritSegment>(s)))
+                .value(cp.vmCell(s, row).sum);
+        json.endObject();
+        json.endObject();
+    }
+    json.endObject();
+    json.key("noc_wait_cycles").beginObject();
+    for (std::size_t c = 0; c < kNumMsgClasses; ++c)
+        json.key(msgClassName(static_cast<MsgClass>(c)))
+            .value(cp.nocWaitCycles[c]);
+    json.endObject();
+    json.endObject();
+    const InterferenceSnapshot &in = r.interference;
+    auto matrix = [&](const char *name,
+                      const std::vector<std::uint64_t> &m) {
+        json.key(name).beginArray();
+        for (std::uint32_t row = 0; row < in.dim; ++row) {
+            json.beginArray();
+            for (std::uint32_t col = 0; col < in.dim; ++col)
+                json.value(in.at(m, row, col));
             json.endArray();
-        };
-        json.key("interference").beginObject();
-        json.key("rows").beginArray();
-        for (std::uint32_t row = 0; row < in.dim; ++row)
-            json.value(vmRowLabel(row, in.dim));
+        }
         json.endArray();
-        matrix("snoop_lookups", in.snoopLookups);
-        matrix("tag_busy_cycles", in.tagBusyCycles);
-        matrix("bytes_delivered", in.bytesDelivered);
-        json.key("offdiag_snoop_share").value(in.offDiagLookupShare());
-        json.endObject();
-    }
+    };
+    json.key("interference").beginObject();
+    json.key("rows").beginArray();
+    for (std::uint32_t row = 0; row < in.dim; ++row)
+        json.value(vmRowLabel(row, in.dim));
+    json.endArray();
+    matrix("snoop_lookups", in.snoopLookups);
+    matrix("tag_busy_cycles", in.tagBusyCycles);
+    matrix("bytes_delivered", in.bytesDelivered);
+    json.key("offdiag_snoop_share").value(in.offDiagLookupShare());
+    json.endObject();
     if (!r.links.empty()) {
         json.key("links").beginArray();
         for (const LinkStat &link : r.links) {

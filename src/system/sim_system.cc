@@ -65,6 +65,7 @@ SimSystem::build(const std::vector<AppProfile> &apps)
 
     coherence_ = std::make_unique<CoherenceSystem>(
         eq_, *network_, *policy_, protocol, config_.l2, config_.numVms);
+    coherence_->setCoreVmTable(mapping_.vmAtTable());
 
     if (vsnoopPolicy_ != nullptr) {
         vsnoopPolicy_->attach(*coherence_);
@@ -104,14 +105,11 @@ SimSystem::build(const std::vector<AppProfile> &apps)
             config_.numVms,
             std::max<std::uint32_t>(1, config_.pagesTop));
         pagemon_->setClock(&eq_);
-        pagemon_->setCoreVmTable(mapping_.vmAtTable());
         pagemon_->setTrace(trace_.get());
         for (std::uint64_t page : config_.watchPages)
             pagemon_->addWatch(page);
         hypervisor_.setPageListener(pagemon_.get());
         coherence_->setPagemon(pagemon_.get());
-        if (vsnoopPolicy_ != nullptr)
-            vsnoopPolicy_->setPagemon(pagemon_.get());
     }
 
     // Guest VMs, content declarations and the ideal dedup scan.
@@ -167,14 +165,12 @@ SimSystem::build(const std::vector<AppProfile> &apps)
             pagemon_->setTrace(trace_.get());
     }
 
-    // Critical-path attribution is always on: the hooks are a few
-    // additions per transaction, and the attribution (unlike a
-    // bounded trace ring) must cover every transaction for the
-    // conservation and reconciliation invariants to be exact.
-    critpath_ = std::make_unique<CritPathAccountant>(
-        config_.numVms, protocol.tagLookupCycles);
-    critpath_->setCoreVmTable(mapping_.vmAtTable());
-    coherence_->setCritPath(critpath_.get());
+    // The always-on accountant has charged the NoC waits of the
+    // initial placement's vCPU-map syncs (VirtualSnoop only).  That
+    // traffic is build, not run: drop it so noc_wait_cycles covers
+    // the run alone.  The links keep it, so without warmup the
+    // links' wait_cycles exceed noc_wait_cycles by those syncs.
+    coherence_->critpath().resetStats();
 
     // Simulator-internals counters: one block per system, attached
     // branch-on-null to the event queue, the protocol tables and
@@ -239,12 +235,11 @@ void
 SimSystem::setProfiler(HostProfiler *profiler)
 {
     profiler_ = profiler;
-    coherence_->setProfiler(profiler);
     // Protocol work is attributed at the event loop, one scope per
     // runUntil() slice: per-message scopes cost two clock reads per
     // event and dominated the profiler's own overhead.  Workload
     // generation still opens its nested Generate scope per batch.
-    eq_.setDispatchProfile(profiler, HostProfiler::Phase::Coherence);
+    eq_.setDispatchProfile(profiler);
     for (auto &driver : drivers_)
         driver->setProfiler(profiler);
 }
@@ -269,7 +264,7 @@ SimSystem::registerStats(StatSet &set) const
     const MainMemory &memory = coherence_->memory();
     set.add("memory.reads", memory.reads);
     set.add("memory.writebacks", memory.writebacks);
-    const CritPathAccountant &cp = *critpath_;
+    const CritPathAccountant &cp = coherence_->critpath();
     set.add("critpath.transactions", cp.transactions);
     for (std::size_t s = 0; s < kNumCritSegments; ++s) {
         set.add(std::string("critpath.seg_") +
@@ -492,8 +487,8 @@ SimSystem::results() const
     // time series is emitted only when explicitly requested.
     if (sampler_ && config_.timeseriesInterval > 0)
         r.series = sampler_->series();
-    r.critpath = critpath_->critSnapshot();
-    r.interference = critpath_->interferenceSnapshot();
+    r.critpath = coherence_->critpath().critSnapshot();
+    r.interference = coherence_->critpath().interferenceSnapshot();
     if (pagemon_ != nullptr && config_.pages) {
         r.pages = pagemon_->snapshot();
         // Page-type census: distinct mapped host pages by current

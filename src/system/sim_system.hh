@@ -268,9 +268,6 @@ class SimSystem
     /** Null unless captureTrace / tracePath requested a sink. */
     TraceSink *trace() { return trace_.get(); }
     const TraceSink *trace() const { return trace_.get(); }
-    /** The always-attached critical-path accountant. */
-    CritPathAccountant &critpath() { return *critpath_; }
-    const CritPathAccountant &critpath() const { return *critpath_; }
     /** Null unless pages / watchPages requested a monitor. */
     PageMon *pagemon() { return pagemon_.get(); }
     const PageMon *pagemon() const { return pagemon_.get(); }
@@ -326,7 +323,6 @@ class SimSystem
     std::unique_ptr<ShuffleMigrator> migrator_;
     std::unique_ptr<TraceMigrator> traceMigrator_;
     std::unique_ptr<TraceSink> trace_;
-    std::unique_ptr<CritPathAccountant> critpath_;
     std::unique_ptr<PageMon> pagemon_;
     std::unique_ptr<IntervalSampler> sampler_;
     std::unique_ptr<PerfMon> perfmon_;

@@ -70,12 +70,6 @@ CritPathAccountant::CritPathAccountant(std::uint32_t num_vms,
 }
 
 void
-CritPathAccountant::setCoreVmResolver(CoreVmResolver resolver)
-{
-    resolver_ = std::move(resolver);
-}
-
-void
 CritPathAccountant::recordTransaction(
     const std::uint64_t (&seg)[kNumCritSegments],
     std::uint64_t end_to_end, FilterReason reason, VmId vm)
@@ -102,36 +96,16 @@ CritPathAccountant::recordTransaction(
 }
 
 void
-CritPathAccountant::chargeLookup(std::uint32_t req_row,
-                                 std::uint32_t tgt_row)
+CritPathAccountant::lookup(VmId requester, VmId holder)
 {
-    snoopLookups_[static_cast<std::size_t>(req_row) * dim_ + tgt_row]++;
-    tagBusyCycles_[static_cast<std::size_t>(req_row) * dim_ + tgt_row] +=
-        tagLookupCycles_;
+    std::uint32_t req_row = rowFor(requester);
+    std::uint32_t tgt_row = rowFor(holder);
+    std::size_t cell = static_cast<std::size_t>(req_row) * dim_ + tgt_row;
+    snoopLookups_[cell]++;
+    tagBusyCycles_[cell] += tagLookupCycles_;
     lookupsTotal.inc();
     if (req_row != tgt_row)
         lookupsOffDiag.inc();
-}
-
-void
-CritPathAccountant::snoopLookupLocal(VmId requester)
-{
-    // The requester's own tag check runs on the core the access was
-    // issued from, which by construction runs the requesting VM: a
-    // diagonal (self-interference) charge.
-    std::uint32_t row = rowFor(requester);
-    chargeLookup(row, row);
-}
-
-void
-CritPathAccountant::snoopLookupRemote(VmId requester, CoreId target)
-{
-    VmId target_vm;
-    if (coreVmTable_ != nullptr)
-        target_vm = coreVmTable_[target];
-    else
-        target_vm = resolver_ ? resolver_(target) : kInvalidVm;
-    chargeLookup(rowFor(requester), rowFor(target_vm));
 }
 
 void
@@ -173,7 +147,6 @@ CritPathSnapshot
 CritPathAccountant::critSnapshot() const
 {
     CritPathSnapshot snap;
-    snap.enabled = true;
     snap.vmRows = dim_;
     snap.byVm = byVm_;
     for (std::size_t s = 0; s < kNumCritSegments; ++s) {
@@ -190,7 +163,6 @@ InterferenceSnapshot
 CritPathAccountant::interferenceSnapshot() const
 {
     InterferenceSnapshot snap;
-    snap.enabled = true;
     snap.dim = dim_;
     snap.snoopLookups = snoopLookups_;
     snap.tagBusyCycles = tagBusyCycles_;

@@ -38,7 +38,6 @@
 #define VSNOOP_TRACE_CRITPATH_HH_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -102,7 +101,6 @@ struct CritPathCell
  */
 struct CritPathSnapshot
 {
-    bool enabled = false;
     /** Full per-segment histograms over all transactions. */
     LatencyHistogram segments[kNumCritSegments];
     /** Per-FilterReason segment sums (count = transactions). */
@@ -128,7 +126,6 @@ struct CritPathSnapshot
  */
 struct InterferenceSnapshot
 {
-    bool enabled = false;
     std::uint32_t dim = 0;
     std::vector<std::uint64_t> snoopLookups;
     std::vector<std::uint64_t> tagBusyCycles;
@@ -153,17 +150,16 @@ struct InterferenceSnapshot
 std::string vmRowLabel(std::uint32_t row, std::uint32_t dim);
 
 /**
- * The live accountant, owned by SimSystem and attached to
- * CoherenceSystem behind a branch-on-null pointer (like TraceSink
- * and HostProfiler).
+ * The live accountant.  CoherenceSystem owns one by value, so it is
+ * always on: unlike a bounded trace ring, the attribution must cover
+ * every transaction for its conservation and reconciliation
+ * invariants to be exact.  Every snoop lookup is charged from one
+ * place (CoherenceSystem::chargeLookup()), next to the
+ * CoherenceStats::snoopLookups counter.
  */
 class CritPathAccountant
 {
   public:
-    /** Maps a core to the VM currently running on it (kInvalidVm
-     *  when idle); used to attribute snoop deliveries. */
-    using CoreVmResolver = std::function<VmId(CoreId)>;
-
     /**
      * @param num_vms Guest VMs; the matrices get one extra
      *        host row/column.
@@ -171,16 +167,6 @@ class CritPathAccountant
      *        lookup (accounting only; no timing effect).
      */
     CritPathAccountant(std::uint32_t num_vms, Tick tag_lookup_cycles);
-
-    void setCoreVmResolver(CoreVmResolver resolver);
-
-    /**
-     * Faster alternative to setCoreVmResolver: a raw per-core VM
-     * table (e.g. VcpuMapping::vmAtTable()) indexed directly on the
-     * per-snoop path.  Takes precedence over the resolver when set;
-     * the pointer must stay valid for the accountant's lifetime.
-     */
-    void setCoreVmTable(const VmId *table) { coreVmTable_ = table; }
 
     /**
      * Fold one completed transaction's segment timeline in.
@@ -191,11 +177,12 @@ class CritPathAccountant
                            std::uint64_t end_to_end, FilterReason reason,
                            VmId vm);
 
-    /** The requester's own (missing) tag lookup: diagonal charge. */
-    void snoopLookupLocal(VmId requester);
-
-    /** A snoop delivery charged to whichever VM holds @p target. */
-    void snoopLookupRemote(VmId requester, CoreId target);
+    /**
+     * One snoop lookup that @p requester induced on a core running
+     * @p holder (kInvalidVm for an idle core: the host column).  The
+     * requester's own tag check is the diagonal, holder == requester.
+     */
+    void lookup(VmId requester, VmId holder);
 
     /** A cache-to-cache data response reaching @p requester. */
     void bytesDelivered(VmId requester, VmId source,
@@ -245,12 +232,8 @@ class CritPathAccountant
     /** @} */
 
   private:
-    void chargeLookup(std::uint32_t req_row, std::uint32_t tgt_row);
-
     std::uint32_t dim_;
     Tick tagLookupCycles_;
-    CoreVmResolver resolver_;
-    const VmId *coreVmTable_ = nullptr;
     LatencyHistogram segments_[kNumCritSegments];
     CritPathCell byReason_[kNumCritSegments][kNumFilterReasons];
     /** [seg * dim_ + row]. */

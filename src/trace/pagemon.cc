@@ -69,25 +69,15 @@ PageMon::cellFor(std::uint64_t page)
 }
 
 void
-PageMon::miss(HostAddr addr, VmId requester)
-{
-    PageCell &cell = cellFor(addr.pageNum());
-    cell.lookups++;
-    cell.misses++;
-    cell.byVm[requester < vmRows_ - 1 ? requester : vmRows_ - 1]++;
-    lookupsCharged.inc();
-}
-
-void
-PageMon::snoopDelivery(HostAddr line, VmId requester, CoreId target)
+PageMon::lookup(HostAddr line, VmId requester, VmId holder, bool miss)
 {
     PageCell &cell = cellFor(line.pageNum());
     cell.lookups++;
+    if (miss)
+        cell.misses++;
     cell.byVm[requester < vmRows_ - 1 ? requester : vmRows_ - 1]++;
     lookupsCharged.inc();
-    VmId target_vm =
-        coreVmTable_ != nullptr ? coreVmTable_[target] : kInvalidVm;
-    if (target_vm != requester) {
+    if (holder != requester) {
         cell.crossVm++;
         crossVmLookups.inc();
     }

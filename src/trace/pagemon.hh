@@ -37,14 +37,16 @@
  *    transaction records for unmatched lines while the watch set is
  *    non-empty.
  *
- * Charging follows the branch-on-null convention: producers hold a
- * nullable PageMon pointer, so runs without --pages stay
- * byte-identical.  Like CritPathAccountant, charges arrive at
- * exactly the two sites that increment stats.snoopLookups (the
- * requester's own tag check and each remote delivery), memory
- * snoops excluded, and resetStats() runs inside
- * CoherenceSystem::resetStats() so warmup resets drop both sides of
- * the reconciliation at once.  One PageMon per SimSystem
+ * Charging follows the branch-on-null convention: CoherenceSystem
+ * holds a nullable PageMon pointer, so runs without --pages stay
+ * byte-identical.  Lookups arrive through lookup() from
+ * CoherenceSystem::chargeLookup(), the one site that increments
+ * stats.snoopLookups and charges CritPathAccountant (the requester's
+ * own tag check and each remote delivery, memory snoops excluded),
+ * so the page totals, the counter and the interference matrix see
+ * the same lookups with the same holder VM.  resetStats() runs
+ * inside CoherenceSystem::resetStats() so warmup resets drop every
+ * side of the reconciliation at once.  One PageMon per SimSystem
  * (one-system-per-thread contract).
  */
 
@@ -78,7 +80,7 @@ struct PageCell
     std::uint64_t pageNum = 0;
     /** Snoop lookups charged (the reconciliation/rank key). */
     std::uint64_t lookups = 0;
-    /** Transactions that missed to this page (local charges). */
+    /** Transactions that missed to this page (own tag checks). */
     std::uint64_t misses = 0;
     /** Remote deliveries landing outside the requester's VM. */
     std::uint64_t crossVm = 0;
@@ -149,18 +151,13 @@ class PageMon : public PageEventListener
     /** Lifecycle-record destination (nullable, branch-on-null). */
     void setTrace(TraceSink *sink) { trace_ = sink; }
 
-    /** Raw per-core VM table (VcpuMapping::vmAtTable()) used to
-     *  classify remote deliveries as cross-VM.  Must stay valid for
-     *  the monitor's lifetime. */
-    void setCoreVmTable(const VmId *table) { coreVmTable_ = table; }
-
-    /** @{ Charge hooks (coherence/controller, coherence/system).
-     *  Call these at exactly the stats.snoopLookups charge sites. */
-    /** The requester's own tag check on a miss. */
-    void miss(HostAddr addr, VmId requester);
-    /** One snoop delivery to a remote core. */
-    void snoopDelivery(HostAddr line, VmId requester, CoreId target);
-    /** @} */
+    /**
+     * One snoop lookup of @p line that @p requester induced on a core
+     * running @p holder (CoherenceSystem::chargeLookup()).  @p miss
+     * marks the requester's own tag check on a miss; a lookup with
+     * holder != requester counts as cross-VM.
+     */
+    void lookup(HostAddr line, VmId requester, VmId holder, bool miss);
 
     /** One snoop attempt's filter reasoning (coherence/controller). */
     void filterReasonCharge(HostAddr line, FilterReason reason);
@@ -204,13 +201,11 @@ class PageMon : public PageEventListener
   private:
     /** Cell for @p page, evicting the min cell when full. */
     PageCell &cellFor(std::uint64_t page);
-    void charge(std::uint64_t page, VmId requester);
 
     std::uint32_t vmRows_;
     std::uint32_t topK_;
     const EventQueue *clock_ = nullptr;
     TraceSink *trace_ = nullptr;
-    const VmId *coreVmTable_ = nullptr;
     FlatMap<PageCell> cells_;
     std::uint64_t truncatedPages_ = 0;
     std::vector<std::uint64_t> watchPages_;

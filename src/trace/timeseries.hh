@@ -21,11 +21,11 @@
 #define VSNOOP_TRACE_TIMESERIES_HH_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace vsnoop
@@ -87,7 +87,7 @@ struct TimeSeries
 class IntervalSampler
 {
   public:
-    using SnapshotFn = std::function<void(TimeSeriesSample &)>;
+    using SnapshotFn = SmallFn<void(TimeSeriesSample &)>;
 
     /**
      * @param eq Event queue to schedule sampling on.

@@ -39,6 +39,26 @@ quickApp()
     return p;
 }
 
+/** Queue-wait cycles the mesh links recorded, over all links. */
+std::uint64_t
+linkWaitSum(const SystemResults &r)
+{
+    std::uint64_t sum = 0;
+    for (const LinkStat &link : r.links)
+        sum += link.waitCycles;
+    return sum;
+}
+
+/** Queue-wait cycles the accountant charged, over all classes. */
+std::uint64_t
+nocWaitSum(const SystemResults &r)
+{
+    std::uint64_t sum = 0;
+    for (std::uint64_t wait : r.critpath.nocWaitCycles)
+        sum += wait;
+    return sum;
+}
+
 /** Sum one segment's total across all byReason cells. */
 std::uint64_t
 segmentSum(const CritPathSnapshot &cp, std::size_t seg)
@@ -60,16 +80,11 @@ TEST(CritPathAccountant, MatrixIndexingAndHostRow)
     CritPathAccountant acct(4, 3);
     EXPECT_EQ(acct.dim(), 5u);
 
-    // Cores 0..3 run VMs 0..3; core 4 is idle (no vCPU).
-    acct.setCoreVmResolver([](CoreId core) {
-        return core < 4 ? static_cast<VmId>(core) : kInvalidVm;
-    });
-
-    acct.snoopLookupLocal(2);     // diagonal [2][2]
-    acct.snoopLookupRemote(1, 3); // [1][3]
-    acct.snoopLookupRemote(1, 4); // idle core -> host column [1][4]
+    acct.lookup(2, 2);          // own tag check: diagonal [2][2]
+    acct.lookup(1, 3);          // [1][3]
+    acct.lookup(1, kInvalidVm); // idle core -> host column [1][4]
     // Hypervisor requester -> host row.
-    acct.snoopLookupRemote(kInvalidVm, 0); // [4][0]
+    acct.lookup(kInvalidVm, 0); // [4][0]
 
     EXPECT_EQ(acct.lookupAt(2, 2), 1u);
     EXPECT_EQ(acct.lookupAt(1, 3), 1u);
@@ -79,7 +94,6 @@ TEST(CritPathAccountant, MatrixIndexingAndHostRow)
     EXPECT_EQ(acct.lookupsOffDiag.value(), 3u);
 
     InterferenceSnapshot in = acct.interferenceSnapshot();
-    ASSERT_TRUE(in.enabled);
     EXPECT_EQ(in.dim, 5u);
     EXPECT_EQ(in.total(in.snoopLookups), 4u);
     EXPECT_EQ(in.offDiagonal(in.snoopLookups), 3u);
@@ -124,7 +138,6 @@ TEST(CritPathAccountant, RecordTransactionSplitsByReasonAndVm)
     acct.recordTransaction(seg, 10, FilterReason::VmPrivate, kInvalidVm);
 
     CritPathSnapshot cp = acct.critSnapshot();
-    ASSERT_TRUE(cp.enabled);
     std::size_t req =
         static_cast<std::size_t>(CritSegment::ReqTraversal);
     std::size_t reason =
@@ -157,7 +170,6 @@ TEST(CritPathSystem, SegmentsConserveLatencyUnderRelocation)
     sys.run();
     SystemResults r = sys.results();
 
-    ASSERT_TRUE(r.critpath.enabled);
     ASSERT_GT(r.latency.count(), 0u);
 
     // Every transaction contributes one sample to every segment
@@ -193,7 +205,6 @@ TEST(CritPathSystem, InterferenceMatrixMatchesSnoopLookups)
     sys.run();
     SystemResults r = sys.results();
 
-    ASSERT_TRUE(r.interference.enabled);
     const InterferenceSnapshot &in = r.interference;
     EXPECT_EQ(in.dim, cfg.numVms + 1);
     // Lookups are charged to the matrix at the same points the
@@ -209,6 +220,10 @@ TEST(CritPathSystem, InterferenceMatrixMatchesSnoopLookups)
     EXPECT_EQ(row_sum, r.snoopLookups);
     EXPECT_EQ(in.total(in.tagBusyCycles),
               r.snoopLookups * cfg.protocol.tagLookupCycles);
+    // Every send charges its queue wait to the accountant, and both
+    // sides reset at the warmup boundary, so the totals agree.
+    EXPECT_GT(nocWaitSum(r), 0u);
+    EXPECT_EQ(linkWaitSum(r), nocWaitSum(r));
 }
 
 TEST(CritPathSystem, VirtualSnoopingCutsOffDiagonalShare)
@@ -230,11 +245,21 @@ TEST(CritPathSystem, VirtualSnoopingCutsOffDiagonalShare)
     SimSystem vs(vs_cfg, app);
     vs.run();
 
-    double base_share =
-        base.results().interference.offDiagLookupShare();
-    double vs_share = vs.results().interference.offDiagLookupShare();
+    SystemResults base_r = base.results();
+    SystemResults vs_r = vs.results();
+    double base_share = base_r.interference.offDiagLookupShare();
+    double vs_share = vs_r.interference.offDiagLookupShare();
     EXPECT_NEAR(base_share, 0.75, 0.05);
     EXPECT_LT(vs_share, 0.5 * base_share);
+
+    // Without warmup the links keep the build's traffic, but the
+    // accountant resets at the end of the build.  TokenB sends
+    // nothing while building, so the queue-wait totals agree; the
+    // initial placement's vCPU-map syncs under VirtualSnoop wait on
+    // links the accountant no longer counts.
+    EXPECT_GT(nocWaitSum(base_r), 0u);
+    EXPECT_EQ(linkWaitSum(base_r), nocWaitSum(base_r));
+    EXPECT_GT(linkWaitSum(vs_r), nocWaitSum(vs_r));
 }
 
 // ---------------------------------------------------------------------

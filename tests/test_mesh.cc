@@ -248,13 +248,16 @@ TEST(MeshLinkStats, BusyAndWaitCyclesOnContendedLink)
     // the link is busy until tick 9, so it logs 5 wait cycles.
     mesh.send(0, 1, 72, MsgClass::Data, 0);
     mesh.send(0, 1, 72, MsgClass::Data, 0);
-    const LinkStat *east = findLink(mesh.linkStats(), 0, 1);
+    // linkStats() returns a copy: keep it alive while findLink()'s
+    // pointers into it are read.
+    std::vector<LinkStat> links = mesh.linkStats();
+    const LinkStat *east = findLink(links, 0, 1);
     ASSERT_NE(east, nullptr);
     EXPECT_EQ(east->busyCycles, 10u);
     EXPECT_EQ(east->waitCycles, 5u);
     EXPECT_EQ(east->totalByteHops(), 2u * 5 * 16);
     // The reverse direction is a distinct link and stays idle.
-    const LinkStat *west = findLink(mesh.linkStats(), 1, 0);
+    const LinkStat *west = findLink(links, 1, 0);
     ASSERT_NE(west, nullptr);
     EXPECT_EQ(west->totalByteHops(), 0u);
     EXPECT_EQ(west->busyCycles, 0u);

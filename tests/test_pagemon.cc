@@ -72,10 +72,10 @@ snapshotMass(const PagesSnapshot &pg)
 TEST(PageMon, ChargesAndSnapshotsSorted)
 {
     PageMon pm(2, 8);
-    pm.miss(pageAddr(5), 0);
-    pm.miss(pageAddr(5), 1);
-    pm.miss(pageAddr(5), 0);
-    pm.miss(pageAddr(9), 1);
+    pm.lookup(pageAddr(5), 0, 0, true);
+    pm.lookup(pageAddr(5), 1, 1, true);
+    pm.lookup(pageAddr(5), 0, 0, true);
+    pm.lookup(pageAddr(9), 1, 1, true);
 
     PagesSnapshot pg = pm.snapshot();
     ASSERT_EQ(pg.cells.size(), 2u);
@@ -97,14 +97,14 @@ TEST(PageMon, ChargesAndSnapshotsSorted)
 TEST(PageMon, EvictionFoldsWholeCellIntoRemainder)
 {
     PageMon pm(1, 2);
-    pm.miss(pageAddr(10), 0);
-    pm.miss(pageAddr(10), 0);
-    pm.miss(pageAddr(10), 0);
-    pm.miss(pageAddr(20), 0);
-    pm.miss(pageAddr(20), 0);
+    pm.lookup(pageAddr(10), 0, 0, true);
+    pm.lookup(pageAddr(10), 0, 0, true);
+    pm.lookup(pageAddr(10), 0, 0, true);
+    pm.lookup(pageAddr(20), 0, 0, true);
+    pm.lookup(pageAddr(20), 0, 0, true);
     // Table full; page 30 evicts the minimum cell (20, 2 lookups)
     // and starts fresh — no count inheritance.
-    pm.miss(pageAddr(30), 0);
+    pm.lookup(pageAddr(30), 0, 0, true);
 
     PagesSnapshot pg = pm.snapshot();
     ASSERT_EQ(pg.cells.size(), 2u);
@@ -122,11 +122,11 @@ TEST(PageMon, EvictionFoldsWholeCellIntoRemainder)
 TEST(PageMon, EvictionTieBreaksOnHighestPageNumber)
 {
     PageMon pm(1, 2);
-    pm.miss(pageAddr(100), 0);
-    pm.miss(pageAddr(200), 0);
+    pm.lookup(pageAddr(100), 0, 0, true);
+    pm.lookup(pageAddr(200), 0, 0, true);
     // Both cells hold one lookup; the higher page number (200) is
     // evicted so the choice is deterministic.
-    pm.miss(pageAddr(300), 0);
+    pm.lookup(pageAddr(300), 0, 0, true);
 
     PagesSnapshot pg = pm.snapshot();
     std::vector<std::uint64_t> pages;
@@ -141,7 +141,7 @@ TEST(PageMon, ResetStatsDropsAttributionButKeepsWatches)
 {
     PageMon pm(1, 4);
     pm.addWatch(7);
-    pm.miss(pageAddr(7), 0);
+    pm.lookup(pageAddr(7), 0, 0, true);
     pm.onPageEvent({PageEventKind::CowBreak, 0, 1, 2, 3,
                     PageType::VmPrivate, PageType::RoShared});
     pm.resetStats();
@@ -158,7 +158,7 @@ TEST(PageMon, ResetStatsDropsAttributionButKeepsWatches)
 TEST(PageMon, LifecycleEventsCountAndAnnotateTrackedCells)
 {
     PageMon pm(2, 4);
-    pm.miss(pageAddr(50), 0);
+    pm.lookup(pageAddr(50), 0, 0, true);
     pm.onPageEvent({PageEventKind::Map, 0, 5, 50, 0,
                     PageType::VmPrivate, PageType::VmPrivate});
     pm.onPageEvent({PageEventKind::TypeChange, 1, 5, 50, 50,
@@ -182,10 +182,10 @@ TEST(PageMon, LifecycleEventsCountAndAnnotateTrackedCells)
 
 TEST(PageMonSystem, TotalsReconcileWithSnoopLookupsUnderWarmup)
 {
-    // The load-bearing identity: charged at exactly the two sites
-    // that increment stats.snoopLookups and reset with them at the
-    // warmup boundary, so the page attribution, the coherence
-    // counter, and the interference matrix agree exactly.
+    // The load-bearing identity: charged at the one site that
+    // increments stats.snoopLookups and reset with it at the warmup
+    // boundary, so the page attribution, the coherence counter, and
+    // the interference matrix agree exactly.
     SystemConfig cfg = smallConfig();
     cfg.policy = PolicyKind::VirtualSnoop;
     cfg.warmupAccessesPerVcpu = 500;
@@ -201,9 +201,12 @@ TEST(PageMonSystem, TotalsReconcileWithSnoopLookupsUnderWarmup)
     EXPECT_GT(r.pages.totalLookups, 0u);
     EXPECT_EQ(snapshotMass(r.pages), r.pages.totalLookups);
     EXPECT_EQ(r.pages.totalLookups, r.snoopLookups);
-    ASSERT_TRUE(r.interference.enabled);
     EXPECT_EQ(r.pages.totalLookups,
               r.interference.total(r.interference.snoopLookups));
+    // Both read the snooped core's VM at the one charge site, so the
+    // cross-VM lookups are exactly the matrix's off-diagonal.
+    EXPECT_EQ(r.pages.crossVmLookups,
+              r.interference.offDiagonal(r.interference.snoopLookups));
 
     // Per-cell breakdowns re-sum to the cell's lookups charge.
     for (const PageCell &cell : r.pages.cells) {

@@ -343,8 +343,6 @@ TEST(MshrPool, GrowsPastItsReserveAndReusesResetSlots)
     // reused slot that kept its last transaction's critical-path
     // segments would trip the accountant's conservation assert.
     CoherenceHarness h;
-    CritPathAccountant critpath(8, 1);
-    h.system->setCritPath(&critpath);
     CoherenceController &core0 = h.system->controller(0);
     constexpr std::size_t kOverlap = 4;
     for (int round = 0; round < 2; ++round) {
@@ -372,7 +370,7 @@ TEST(MshrPool, GrowsPastItsReserveAndReusesResetSlots)
         }
     }
     EXPECT_EQ(core0.mshrPoolSlots(), kOverlap);
-    EXPECT_EQ(critpath.transactions.value(), 2 * kOverlap);
+    EXPECT_EQ(h.system->critpath().transactions.value(), 2 * kOverlap);
 }
 
 } // namespace vsnoop::test

@@ -1,4 +1,4 @@
-"""Single-process smoke checks of vsnoopsim, vsnoopsweep and vsnoopreport.
+"""Smoke checks of the vsnoop tools, each driven end to end.
 
 usage: tool_smoke.py STEP TOOLS_DIR WORK_DIR
 
@@ -14,14 +14,23 @@ that the trace step wrote).  STEP is one of:
                      and renders, even with a degraded histogram
   pages              --pages output is worker-count independent and
                      reconciles; --watch-page narrows the trace
+  interrupt          SIGINT cuts a sweep short with exit 130 and an
+                     interrupted summary after the completed records
+  service_load       8 concurrent clients load a vsnoopserve on an
+                     ephemeral port without a failed request, and the
+                     server exits 0 on SIGINT
 
 Each step exits non-zero on the first failed check.
 """
 
 import json
 import os
+import re
+import shutil
+import signal
 import subprocess
 import sys
+import time
 
 # Any fixed worker count above 1 exercises the parallel sweep path.
 JOBS = "4"
@@ -40,6 +49,13 @@ def tool(name, *args, out=None):
     else:
         with open(out, "wb") as f:
             subprocess.run([path, *args], check=True, stdout=f)
+
+
+def spawn(name, *args, err):
+    """Start one tool in the background, its stderr going to @err."""
+    with open(err, "wb") as f:
+        return subprocess.Popen([os.path.join(TOOLS, name), *args],
+                                stderr=f)
 
 
 def read(path):
@@ -212,8 +228,64 @@ def pages():
              "snoop lookups by host address range", "pagetable")
 
 
+def interrupt():
+    # SIGINT mid-sweep: completed records flush in matrix order, a
+    # summary line marks the interruption, and the exit status is
+    # 128+SIGINT.
+    sweep = spawn("vsnoopsweep", "--apps", "ferret", "--seeds", "1,2,3,4",
+                  "--accesses", "200000", "--jobs", "1", "--out",
+                  "int.jsonl", err="int.err")
+    try:
+        time.sleep(3)
+        sweep.send_signal(signal.SIGINT)
+        rc = sweep.wait()
+    finally:
+        sweep.kill()
+    assert rc == 130, rc
+    with open("int.jsonl") as f:
+        lines = [json.loads(line) for line in f]
+    assert lines, "no output lines"
+    summary = lines[-1]["summary"]
+    assert summary["interrupted"] is True
+    assert summary["signal"] == 2
+    assert summary["runs_completed"] == len(lines) - 1
+    assert summary["runs_total"] == 4
+    assert summary["runs_completed"] < 4, "sweep was not cut short"
+    for record in lines[:-1]:
+        assert record["results"]["accesses"] > 0
+        assert "meta" in record
+    print("interrupted after", summary["runs_completed"], "runs OK")
+
+
+def service_load():
+    # A brief client swarm against the server: 8 concurrent clients,
+    # every matrix submitted twice, no failed requests allowed.  A
+    # fresh cache makes every run a miss, as on a first start.
+    shutil.rmtree("load-cache", ignore_errors=True)
+    serve = spawn("vsnoopserve", "--addr", "127.0.0.1:0", "--cache-dir",
+                  "load-cache", "--jobs", "2", err="load-serve.err")
+    try:
+        addr = None
+        for _ in range(50):
+            found = re.search(rb"127\.0\.0\.1:[0-9]+",
+                              read("load-serve.err"))
+            if found:
+                addr = found.group().decode()
+                break
+            time.sleep(0.2)
+        assert addr, "vsnoopserve never reported its address"
+        tool("vsnoopload", "--addr", addr, "--clients", "8",
+             "--submissions", "2", "--accesses", "500")
+        serve.send_signal(signal.SIGINT)
+        rc = serve.wait()
+    finally:
+        serve.kill()
+    assert rc == 0, rc
+    print("service load OK")
+
+
 STEPS = {f.__name__: f for f in (sweep_determinism, trace, html_report,
-                                 perf, pages)}
+                                 perf, pages, interrupt, service_load)}
 
 
 def main():

@@ -293,7 +293,7 @@ main(int argc, char **argv)
     }
     cats.print();
 
-    if (r.critpath.enabled && r.critpath.segments[0].count() > 0) {
+    if (r.critpath.segments[0].count() > 0) {
         std::cout << "\nCritical-path breakdown (mean ticks / "
                      "transaction):\n";
         double txns =
@@ -314,8 +314,7 @@ main(int argc, char **argv)
         }
         crit.print();
     }
-    if (r.interference.enabled &&
-        r.interference.total(r.interference.snoopLookups) > 0) {
+    if (r.interference.total(r.interference.snoopLookups) > 0) {
         char share[32];
         std::snprintf(share, sizeof(share), "%.1f",
                       100.0 * r.interference.offDiagLookupShare());
