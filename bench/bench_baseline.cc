@@ -21,6 +21,7 @@
 
 #include "system/run_result.hh"
 #include "system/sweep.hh"
+#include "workload/app_profile.hh"
 
 using namespace vsnoop;
 
@@ -35,7 +36,14 @@ main()
     matrix.base.warmupAccessesPerVcpu = 1000;
     matrix.base.l2.sizeBytes = 128 * 1024;
 
-    for (const RunResult &result : runSweep(matrix))
-        std::cout << result.toJson() << "\n";
+    std::vector<SweepPoint> points = matrix.expand();
+    std::vector<std::string> lines(points.size());
+    runIndexed(points.size(), 0, [&](std::size_t i) {
+        lines[i] = collectRun(matrix.configFor(points[i]),
+                              findApp(points[i].app))
+                       .toJson();
+    });
+    for (const std::string &line : lines)
+        std::cout << line << "\n";
     return 0;
 }

@@ -1,13 +1,13 @@
 #include "service/job_queue.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 
 #include "service/sweep_wire.hh"
 #include "sim/logging.hh"
 #include "sim/slog.hh"
 #include "system/config_schema.hh"
-#include "system/heartbeat.hh"
 #include "system/run_result.hh"
 #include "workload/app_profile.hh"
 
@@ -63,7 +63,8 @@ JobQueue::~JobQueue()
 
 std::uint64_t
 JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
-                 std::string *error, const std::string &requestId)
+                 std::string *error, const std::string &requestId,
+                 HostProfiler *profile)
 {
     auto fail = [&](const std::string &msg) {
         if (error)
@@ -74,11 +75,11 @@ JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
         matrix.relocations.empty() || matrix.roPolicies.empty() ||
         matrix.seeds.empty())
         return fail("every sweep axis must be non-empty");
-    if (!matrix.traceDir.empty())
-        return fail("per-run trace capture is not served; submit "
-                    "without a trace directory");
+    if (!matrix.traceDir.empty() && store_ != nullptr)
+        return fail("per-run trace capture needs a queue without a "
+                    "result store; submit without a trace directory");
 
-    auto job = std::make_unique<Job>();
+    auto job = std::make_unique<Job>(matrix);
     job->points = matrix.expand();
     job->profiles.reserve(job->points.size());
     job->configs.reserve(job->points.size());
@@ -99,6 +100,7 @@ JobQueue::submit(const SweepMatrix &matrix, const std::string &label,
     }
     job->label = label;
     job->requestId = requestId;
+    job->profile = profile;
     job->lines.resize(job->points.size());
     job->ready.assign(job->points.size(), 0);
     job->submittedMs =
@@ -155,6 +157,27 @@ JobQueue::status(std::uint64_t id) const
     return statusLocked(*it->second);
 }
 
+std::optional<JobStatus>
+JobQueue::waitFor(std::uint64_t id, std::uint64_t timeoutMs)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto it = jobs_.find(id);
+    if (it == jobs_.end())
+        return std::nullopt;
+    const Job &job = *it->second;
+    resultCv_.wait_for(lock, std::chrono::milliseconds(timeoutMs),
+                       [&] { return jobStateTerminal(job.state); });
+    return statusLocked(job);
+}
+
+const SweepHeartbeat *
+JobQueue::heartbeat(std::uint64_t id) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = jobs_.find(id);
+    return it == jobs_.end() ? nullptr : &it->second->heartbeat;
+}
+
 std::vector<JobStatus>
 JobQueue::list() const
 {
@@ -189,6 +212,7 @@ JobQueue::cancel(std::uint64_t id)
         // Workers drop non-queued jobs from pending_ when they scan.
         job.state = JobState::Cancelled;
         job.cancelRequested = true;
+        job.heartbeat.markInterrupted();
         job.finishedMs = static_cast<std::int64_t>(steadyNowMs());
         jobsCancelled_.fetch_add(1);
         leaveQueuedLocked(job, job.finishedMs);
@@ -202,6 +226,7 @@ JobQueue::cancel(std::uint64_t id)
     if (job.state != JobState::Running || job.cancelRequested)
         return false;
     job.cancelRequested = true;
+    job.heartbeat.markInterrupted();
     if (trace_ != nullptr)
         trace_->record(JobInstant{
             job.id, "cancel", static_cast<std::int64_t>(steadyNowMs()),
@@ -294,6 +319,8 @@ JobQueue::workerLoop()
         if (job->state == JobState::Queued) {
             job->state = JobState::Running;
             job->startedMs = static_cast<std::int64_t>(steadyNowMs());
+            job->heartbeat.markLaunched(
+                static_cast<std::uint64_t>(job->startedMs));
             leaveQueuedLocked(*job, job->startedMs);
         }
         std::size_t slot = job->dispatched++;
@@ -328,6 +355,7 @@ JobQueue::workerLoop()
 void
 JobQueue::runSlot(Job &job, std::size_t slot)
 {
+    RunProgress &cell = job.heartbeat.run(slot);
     std::optional<std::string> cached =
         store_ != nullptr ? store_->get(job.cacheKeys[slot])
                           : std::nullopt;
@@ -337,6 +365,7 @@ JobQueue::runSlot(Job &job, std::size_t slot)
             static_cast<std::int64_t>(steadyNowMs()), job.requestId,
             static_cast<std::int64_t>(slot)});
     if (cached) {
+        cell.finish(steadyNowMs());
         std::lock_guard<std::mutex> lock(mutex_);
         job.lines[slot] = std::move(*cached);
         job.ready[slot] = 1;
@@ -348,12 +377,25 @@ JobQueue::runSlot(Job &job, std::size_t slot)
     }
 
     std::int64_t begin = static_cast<std::int64_t>(steadyNowMs());
-    RunResult result = collectRun(job.configs[slot], *job.profiles[slot]);
+    cell.start(static_cast<std::uint64_t>(begin));
+    ProgressFn progress = [&cell](const ProgressSample &sample) {
+        cell.update(sample, steadyNowMs());
+    };
+    // A run profiles into a local collector; only the merge locks.
+    HostProfiler local;
+    RunResult result =
+        collectRun(job.configs[slot], *job.profiles[slot],
+                   job.profile ? &local : nullptr, std::move(progress));
+    if (job.profile != nullptr) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        job.profile->merge(local);
+    }
     totals_.add(result.results);
     std::string line = result.toJson();
     if (store_ != nullptr)
         store_->put(job.cacheKeys[slot], line);
     std::int64_t end = static_cast<std::int64_t>(steadyNowMs());
+    cell.finish(static_cast<std::uint64_t>(end));
     if (trace_ != nullptr)
         trace_->record(JobSpan{job.id, "run", begin, end, job.requestId,
                                static_cast<std::int64_t>(slot),
@@ -427,6 +469,7 @@ JobQueue::shutdown()
             if (job->state == JobState::Queued) {
                 job->state = JobState::Cancelled;
                 job->cancelRequested = true;
+                job->heartbeat.markInterrupted();
                 job->finishedMs = now;
                 jobsCancelled_.fetch_add(1);
                 leaveQueuedLocked(*job, now);

@@ -2,24 +2,31 @@
  * @file
  * FIFO sweep-job queue executing on one shared run-worker pool.
  *
- * One JobQueue owns the service's execution: submissions are
- * validated sweep matrices (service/sweep_wire.hh) assigned
- * monotonic ids, and a persistent pool of run workers executes them.
+ * JobQueue is the one run engine: vsnoopserve executes served jobs
+ * on it, and vsnoopsweep runs its matrix as one job on an in-process
+ * queue without a store.  Submissions are validated sweep matrices
+ * (service/sweep_wire.hh) assigned monotonic ids, and a persistent
+ * pool of run workers executes them.
  * A free worker takes the next undispatched slot of the oldest job
  * with fewer than the per-job run limit in flight, so runs start in
  * (job id, slot) order, no job holds more workers than the limit,
  * and a worker freed by one job's tail starts the next job instead
  * of idling until the slowest run of the current one returns.
  * Per-run results land in slots indexed by the run's position in
- * the expanded matrix — the same order and bytes an offline
- * vsnoopsweep of the same matrix produces.
+ * the expanded matrix — the same order and bytes as running each
+ * point alone with collectRun().
  *
  * Every slot first consults the ResultStore: a hit is served without
  * simulation, a miss executes and is inserted, so resubmitting a
  * finished matrix completes with zero new runs.  streamResults()
  * delivers finished lines in matrix order while the job still runs,
  * blocking on not-yet-finished slots — this backs the chunked
- * GET /jobs/<id>/results stream.
+ * GET /jobs/<id>/results stream.  A matrix's traceDir is taken only
+ * without a store (a store hit writes no trace file).
+ *
+ * Every job has a SweepHeartbeat: the worker serving a slot writes
+ * its progress cell (a store hit only finishes it), and a cancel,
+ * by cancel() or by shutdown() of a queued job, marks it interrupted.
  *
  * State machine: queued -> running -> done | failed | cancelled,
  * plus queued -> cancelled.  A job turns running when a worker
@@ -59,7 +66,9 @@
 #include <vector>
 
 #include "service/result_store.hh"
+#include "sim/profiler.hh"
 #include "sim/stats.hh"
+#include "system/heartbeat.hh"
 #include "system/run_totals.hh"
 #include "system/sweep.hh"
 #include "trace/job_trace.hh"
@@ -124,18 +133,34 @@ class JobQueue
     /**
      * Enqueue @p matrix.  Returns the new job id, or 0 with
      * @p error set when the matrix is invalid (empty axis, unknown
-     * app, a run config validateConfig() rejects) or the queue is
-     * shutting down.  App names and configs are checked here so
-     * execution can never hit findApp()'s fatal path or a simulator
-     * assertion that would abort every job in the pool.
+     * app, a run config validateConfig() rejects, a traceDir on a
+     * store-backed queue) or the queue is shutting down.  App names
+     * and configs are checked here so execution can never hit
+     * findApp()'s fatal path or a simulator assertion that would
+     * abort every job in the pool.  A non-null @p profile sums the
+     * host profile of every run the job executes (CPU time across
+     * workers); it must outlive the job.
      */
     std::uint64_t submit(const SweepMatrix &matrix,
                          const std::string &label = "",
                          std::string *error = nullptr,
-                         const std::string &requestId = "");
+                         const std::string &requestId = "",
+                         HostProfiler *profile = nullptr);
 
     /** Status copy, or nullopt for an unknown id. */
     std::optional<JobStatus> status(std::uint64_t id) const;
+
+    /** Status once job @p id is terminal or @p timeoutMs has
+     *  passed, whichever is first; nullopt for an unknown id. */
+    std::optional<JobStatus> waitFor(std::uint64_t id,
+                                     std::uint64_t timeoutMs);
+
+    /** Job @p id's progress cells, or nullptr for an unknown id;
+     *  valid for the queue's lifetime (jobs are never erased). */
+    const SweepHeartbeat *heartbeat(std::uint64_t id) const;
+
+    /** Perf and pages totals over every executed run. */
+    const RunTotals &totals() const { return totals_; }
 
     /** Every job's status, id order (oldest first). */
     std::vector<JobStatus> list() const;
@@ -186,6 +211,8 @@ class JobQueue
   private:
     struct Job
     {
+        explicit Job(const SweepMatrix &matrix) : heartbeat(matrix) {}
+
         std::uint64_t id = 0;
         /** Expanded points, their resolved profiles and configs. */
         std::vector<SweepPoint> points;
@@ -194,6 +221,10 @@ class JobQueue
         std::vector<std::string> cacheKeys;
         std::string label;
         std::string requestId;
+        /** One progress cell per slot (written without mutex_). */
+        SweepHeartbeat heartbeat;
+        /** Receives executed runs' profiles (merged under mutex_). */
+        HostProfiler *profile = nullptr;
 
         JobState state = JobState::Queued;
         bool cancelRequested = false;
@@ -244,7 +275,7 @@ class JobQueue
     mutable std::mutex mutex_;
     /** Worker wakeup (new job / shutdown). */
     std::condition_variable workCv_;
-    /** Streamer wakeup (slot finished / terminal transition). */
+    /** Streamer/waitFor() wakeup (slot finished / terminal state). */
     std::condition_variable resultCv_;
     std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
     /** Jobs that may still have slots to dispatch, id order. */

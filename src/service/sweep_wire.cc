@@ -6,6 +6,7 @@
 #include "sim/json.hh"
 #include "sim/version.hh"
 #include "system/config_schema.hh"
+#include "system/run_result.hh"
 #include "virt/sched_sim.hh"
 #include "workload/app_profile.hh"
 

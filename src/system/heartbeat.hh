@@ -2,12 +2,12 @@
  * @file
  * Sweep heartbeat: shared live-progress state for a set of runs.
  *
- * A running sweep is a pool of worker threads, each executing one
- * SimSystem at a time.  The heartbeat gives every run a lock-free
- * progress cell (RunProgress, all relaxed atomics) that its worker
- * updates from the SimSystem progress callback; monitor threads —
- * the stats server's handlers, the stderr heartbeat printer, the
- * watchdog — read the cells without ever blocking a worker.
+ * A sweep is a JobQueue job (service/job_queue.hh): worker threads
+ * each execute one SimSystem at a time.  The job's heartbeat gives
+ * every run a lock-free progress cell (RunProgress, all relaxed
+ * atomics) that its worker updates from the SimSystem progress
+ * callback; readers — the stats server's handlers, the publisher's
+ * stderr heartbeat and watchdog — never block a worker.
  * Nothing here feeds back into simulation state, so run JSON stays
  * byte-identical whether or not anyone is watching.
  *

@@ -8,8 +8,8 @@
  * registered sources read the totals under the same mutex on the
  * registry's publisher thread.  Both blocks are row tables
  * (sim/row_table.hh), so their series — vsnoop_perf_* and
- * vsnoop_pages_* — are derived from the rows.  vsnoopsweep and
- * JobQueue each own one.
+ * vsnoop_pages_* — are derived from the rows.  JobQueue owns one;
+ * vsnoopsweep and vsnoopserve publish it.
  */
 
 #ifndef VSNOOP_SYSTEM_RUN_TOTALS_HH_

@@ -2,12 +2,11 @@
  * @file
  * Sweep heartbeat tests: the per-run progress cell state machine,
  * the watchdog, sweep-level aggregates and their JSON/Prometheus
- * renderings, the monitored sweep runner (including cancellation),
- * and — the load-bearing property — that observation never changes
- * run output.
+ * renderings, and the telemetry routes.  That observation never
+ * changes run output is tested where the cells are written, on
+ * JobQueue (test_service.cc).
  */
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -261,62 +260,6 @@ TEST(SweepHeartbeat, PublishesEventAndTickThroughputSeries)
     EXPECT_NE(text.find("vsnoop_run_events_total{run=\"0\","),
               std::string::npos)
         << text;
-}
-
-TEST(RunIndexed, CancelStopsDispatchingNewIndices)
-{
-    std::atomic<int> invoked{0};
-    std::atomic<bool> stop{false};
-    runIndexed(
-        100, 4,
-        [&](std::size_t) {
-            if (invoked.fetch_add(1) + 1 >= 8)
-                stop.store(true);
-        },
-        [&] { return stop.load(); });
-    int count = invoked.load();
-    EXPECT_GE(count, 8);
-    // In-flight work finishes but the bulk of the list is skipped.
-    EXPECT_LT(count, 100);
-}
-
-TEST(RunSweepMonitored, ObservationDoesNotChangeRunBytes)
-{
-    SweepMatrix m = smallMatrix();
-    std::vector<RunResult> plain = runSweep(m, 2);
-
-    SweepHeartbeat hb(m);
-    SweepExecution monitored = runSweepMonitored(m, 2, nullptr, &hb);
-    EXPECT_FALSE(monitored.interrupted);
-    ASSERT_EQ(monitored.results.size(), plain.size());
-    EXPECT_EQ(monitored.completedCount(), plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-        ASSERT_TRUE(monitored.completed[i]);
-        EXPECT_EQ(monitored.results[i].toJson(), plain[i].toJson())
-            << "run " << i;
-    }
-    // Every heartbeat cell saw the full lifecycle.
-    for (std::size_t i = 0; i < hb.runCount(); ++i) {
-        EXPECT_EQ(hb.run(i).state(), RunState::Done);
-        EXPECT_EQ(hb.run(i).accessesIssued(),
-                  hb.run(i).accessesTarget());
-    }
-    EXPECT_EQ(hb.runsDone(), hb.runCount());
-}
-
-TEST(RunSweepMonitored, CancelledSweepMarksOnlyCompletedSlots)
-{
-    SweepMatrix m = smallMatrix();
-    // Cancel immediately: nothing dispatches, nothing completes.
-    SweepHeartbeat hb(m);
-    SweepExecution exec = runSweepMonitored(m, 2, nullptr, &hb,
-                                            [] { return true; });
-    EXPECT_TRUE(exec.interrupted);
-    EXPECT_TRUE(hb.interrupted());
-    EXPECT_EQ(exec.completedCount(), 0u);
-    ASSERT_EQ(exec.results.size(), 4u);
-    for (std::uint8_t c : exec.completed)
-        EXPECT_EQ(c, 0);
 }
 
 TEST(TelemetryRoutes, ServeMetricsProgressAndRuns)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Service-layer tests: the content-addressed ResultStore, the
- * JobQueue state machine (including cache-served resubmission and
- * cooperative cancellation), and an end-to-end HTTP check that the
- * job API streams bytes identical to an offline sweep of the same
- * matrix.
+ * JobQueue state machine (including cache-served resubmission,
+ * cooperative cancellation and per-run progress cells), and an
+ * end-to-end HTTP check that the job API streams bytes identical to
+ * a serial run of the same matrix.
  */
 
 #include <algorithm>
@@ -28,6 +28,7 @@
 #include "sim/metrics.hh"
 #include "sim/slog.hh"
 #include "sim/stats_server.hh"
+#include "sweep_reference.hh"
 #include "system/sweep.hh"
 #include "trace/job_trace.hh"
 #include "workload/app_profile.hh"
@@ -66,23 +67,17 @@ tinyMatrix()
     return m;
 }
 
-/** Poll @p queue until @p id reaches a terminal state. */
+/** Wait (up to 120 s) until @p id reaches a terminal state. */
 JobStatus
 awaitTerminal(JobQueue &queue, std::uint64_t id)
 {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(120);
-    for (;;) {
-        std::optional<JobStatus> status = queue.status(id);
-        EXPECT_TRUE(status.has_value());
-        if (!status || jobStateTerminal(status->state))
-            return status ? *status : JobStatus{};
-        if (std::chrono::steady_clock::now() > deadline) {
-            ADD_FAILURE() << "job " << id << " never finished";
-            return *status;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    std::optional<JobStatus> status = queue.waitFor(id, 120000);
+    EXPECT_TRUE(status.has_value());
+    if (!status)
+        return JobStatus{};
+    EXPECT_TRUE(jobStateTerminal(status->state))
+        << "job " << id << " never finished";
+    return *status;
 }
 
 // ---------------------------------------------------------------
@@ -273,23 +268,47 @@ TEST(JobQueue, RunsAJobThroughTheStateMachine)
     EXPECT_GE(status.finishedMs, status.startedMs);
     EXPECT_EQ(queue.jobsCompleted(), 1u);
 
-    // Streamed lines are the offline sweep's bytes, matrix order.
-    std::vector<std::string> lines;
-    EXPECT_TRUE(queue.streamResults(id, [&](const std::string &line) {
-        lines.push_back(line);
-        return true;
-    }));
-    std::vector<RunResult> offline = runSweep(m, 1);
-    ASSERT_EQ(lines.size(), offline.size());
-    for (std::size_t i = 0; i < lines.size(); ++i)
-        EXPECT_EQ(lines[i], offline[i].toJson()) << "run " << i;
+    // Streamed lines are the serial reference's bytes, matrix order.
+    EXPECT_EQ(jobLines(queue, id), serialRunLines(m));
 
     EXPECT_EQ(queue.list().size(), 1u);
     EXPECT_FALSE(queue.status(id + 1).has_value());
+    EXPECT_FALSE(queue.waitFor(id + 1, 0).has_value());
+    EXPECT_EQ(queue.heartbeat(id + 1), nullptr);
     EXPECT_FALSE(queue.streamResults(id + 1,
                                      [](const std::string &) {
                                          return true;
                                      }));
+}
+
+TEST(JobQueue, ObservationDoesNotChangeRunBytes)
+{
+    // Every job writes its progress cells, and this one also merges
+    // a host profile; neither may move a byte of the runs.
+    SweepMatrix m = tinyMatrix();
+    m.apps = {"ferret", "blackscholes"};
+    JobQueue queue(nullptr, 2);
+    HostProfiler profile;
+    std::string error;
+    std::uint64_t id = queue.submit(m, "", &error, "", &profile);
+    ASSERT_NE(id, 0u) << error;
+    EXPECT_EQ(jobLines(queue, id), serialRunLines(m));
+    EXPECT_EQ(awaitTerminal(queue, id).state, JobState::Done);
+
+    // Every cell saw the full lifecycle, and every run was profiled.
+    const SweepHeartbeat *hb = queue.heartbeat(id);
+    ASSERT_NE(hb, nullptr);
+    ASSERT_EQ(hb->runCount(), 4u);
+    for (std::size_t i = 0; i < hb->runCount(); ++i) {
+        EXPECT_EQ(hb->run(i).state(), RunState::Done) << "run " << i;
+        EXPECT_EQ(hb->run(i).accessesIssued(),
+                  hb->run(i).accessesTarget())
+            << "run " << i;
+    }
+    EXPECT_EQ(hb->runsDone(), hb->runCount());
+    EXPECT_GT(hb->launchedMs(), 0u);
+    EXPECT_FALSE(hb->interrupted());
+    EXPECT_GT(profile.events(), 0u);
 }
 
 TEST(JobQueue, RejectsInvalidSubmissions)
@@ -317,6 +336,20 @@ TEST(JobQueue, RejectsInvalidSubmissions)
     EXPECT_EQ(error, "mesh 9x8 has 72 cores; at most 64 are supported");
 
     EXPECT_EQ(queue.jobsSubmitted(), 0u);
+
+    // A store hit writes no trace file, so only a storeless queue
+    // takes a trace directory.
+    fs::path dir = freshDir("reject_trace_dir");
+    ResultStore store;
+    ASSERT_TRUE(store.open(dir.string(), 1 << 20, &error)) << error;
+    JobQueue stored(&store, 1);
+    SweepMatrix traced = tinyMatrix();
+    traced.traceDir = dir.string();
+    error.clear();
+    EXPECT_EQ(stored.submit(traced, "", &error), 0u);
+    EXPECT_NE(error.find("trace directory"), std::string::npos) << error;
+    EXPECT_EQ(stored.jobsSubmitted(), 0u);
+    fs::remove_all(dir);
 }
 
 TEST(JobQueue, CancelsQueuedJobsBeforeTheyStart)
@@ -379,12 +412,19 @@ TEST(JobQueue, CancelMidSweepKeepsFinishedRunsAndSkipsTheRest)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     EXPECT_TRUE(queue.cancel(id));
+    // The cells say "interrupted" as soon as dispatch stops, while
+    // the next run is still in flight, not once the job drains.
+    const SweepHeartbeat *hb = queue.heartbeat(id);
+    ASSERT_NE(hb, nullptr);
+    EXPECT_TRUE(hb->interrupted());
 
     JobStatus status = awaitTerminal(queue, id);
     EXPECT_EQ(status.state, JobState::Cancelled);
     EXPECT_TRUE(status.cancelRequested);
     EXPECT_GE(status.runsCompleted, 1u);
     EXPECT_LT(status.runsCompleted, status.runsTotal);
+    EXPECT_EQ(hb->runsDone(), status.runsCompleted);
+    EXPECT_EQ(hb->runsRunning(), 0u);
 
     // The stream yields exactly the finished runs, then ends.
     std::size_t streamed = 0;
@@ -420,16 +460,7 @@ TEST(JobQueue, ResubmissionIsServedEntirelyFromTheCache)
     EXPECT_GE(store.hits(), 2u);
 
     // Cached bytes are the executed bytes.
-    std::vector<std::string> first_lines, second_lines;
-    queue.streamResults(first, [&](const std::string &line) {
-        first_lines.push_back(line);
-        return true;
-    });
-    queue.streamResults(second, [&](const std::string &line) {
-        second_lines.push_back(line);
-        return true;
-    });
-    EXPECT_EQ(first_lines, second_lines);
+    EXPECT_EQ(jobLines(queue, first), jobLines(queue, second));
     fs::remove_all(dir);
 }
 
@@ -542,22 +573,9 @@ TEST(JobQueue, ConcurrentJobsStreamTheOfflineBytes)
         ids.push_back(queue.submit(m, "", &error));
         ASSERT_NE(ids.back(), 0u) << error;
     }
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-        std::vector<std::string> lines;
-        EXPECT_TRUE(queue.streamResults(ids[j],
-                                        [&](const std::string &line) {
-                                            lines.push_back(line);
-                                            return true;
-                                        }));
-        std::vector<SweepPoint> points = matrices[j].expand();
-        ASSERT_EQ(lines.size(), points.size());
-        for (std::size_t i = 0; i < points.size(); ++i)
-            EXPECT_EQ(lines[i],
-                      collectRun(matrices[j].configFor(points[i]),
-                                 findApp(points[i].app))
-                          .toJson())
-                << "job " << ids[j] << " slot " << i;
-    }
+    for (std::size_t j = 0; j < ids.size(); ++j)
+        EXPECT_EQ(jobLines(queue, ids[j]), serialRunLines(matrices[j]))
+            << "job " << ids[j];
 }
 
 TEST(JobQueue, CancellingOneRunningJobLeavesTheOtherDone)
@@ -638,9 +656,9 @@ TEST(JobQueue, ShutdownWithRunningJobsJoinsEveryWorker)
 
 TEST(JobApi, StreamedResultsAreByteIdenticalToOfflineSweep)
 {
-    // The ISSUE acceptance criterion: a 16-run matrix submitted
-    // over HTTP streams exactly the bytes offline vsnoopsweep
-    // produces, and resubmission executes zero new runs.
+    // A 16-run matrix submitted over HTTP streams exactly the bytes
+    // of a serial collectRun() loop over it (what offline
+    // vsnoopsweep prints), and resubmission executes zero new runs.
     SweepMatrix m = tinyMatrix();
     m.apps = {"ferret", "blackscholes"};
     m.policies = {PolicyKind::TokenB, PolicyKind::VirtualSnoop};
@@ -651,8 +669,8 @@ TEST(JobApi, StreamedResultsAreByteIdenticalToOfflineSweep)
     ASSERT_EQ(m.runCount(), 16u);
 
     std::string offline;
-    for (const RunResult &r : runSweep(m, 4))
-        offline += r.toJson() + "\n";
+    for (const std::string &line : serialRunLines(m))
+        offline += line + "\n";
 
     fs::path dir = freshDir("e2e");
     ResultStore store;

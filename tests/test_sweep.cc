@@ -1,16 +1,20 @@
 /**
  * @file
- * Tests for the parallel sweep runner: deterministic matrix
- * expansion, the worker pool, and — the load-bearing property —
- * byte-identical JSON output regardless of the worker count.
+ * Tests for sweeps: deterministic matrix expansion, the bench
+ * worker pool, and — the load-bearing property — a matrix run as a
+ * JobQueue job on several workers gives the JSON bytes of a serial
+ * collectRun() loop.
  */
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/json.hh"
+#include "sweep_reference.hh"
 #include "system/sweep.hh"
 
 namespace vsnoop::test
@@ -99,23 +103,13 @@ smallMatrix()
     return m;
 }
 
-std::vector<std::string>
-jsonLines(const std::vector<RunResult> &results)
-{
-    std::vector<std::string> lines;
-    lines.reserve(results.size());
-    for (const RunResult &r : results)
-        lines.push_back(r.toJson());
-    return lines;
-}
-
 } // namespace
 
 TEST(RunSweep, ParallelOutputMatchesSerialByteForByte)
 {
     SweepMatrix m = smallMatrix();
-    auto serial = jsonLines(runSweep(m, 1));
-    auto parallel = jsonLines(runSweep(m, 4));
+    auto serial = serialRunLines(m);
+    auto parallel = queueRunLines(m, 4);
     ASSERT_EQ(serial.size(), 8u);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -125,11 +119,12 @@ TEST(RunSweep, ParallelOutputMatchesSerialByteForByte)
 TEST(RunSweep, PerfOffLeavesJsonFreeOfPerfKeysAtAnyJobCount)
 {
     // The core observability contract: with --perf off the output
-    // carries no perf keys at all, and stays byte-identical across
-    // worker counts (i.e. perfmon is invisible, not just zeroed).
+    // carries no perf keys at all, and the parallel engine's bytes
+    // equal the serial reference's (i.e. perfmon is invisible, not
+    // just zeroed).
     SweepMatrix m = smallMatrix();
-    auto serial = jsonLines(runSweep(m, 1));
-    auto parallel = jsonLines(runSweep(m, 4));
+    auto serial = serialRunLines(m);
+    auto parallel = queueRunLines(m, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i], parallel[i]) << "run " << i;
@@ -142,8 +137,8 @@ TEST(RunSweep, PerfOnIsDeterministicAndCountsAreLive)
 {
     SweepMatrix m = smallMatrix();
     m.base.perf = true;
-    auto serial = jsonLines(runSweep(m, 1));
-    auto parallel = jsonLines(runSweep(m, 4));
+    auto serial = serialRunLines(m);
+    auto parallel = queueRunLines(m, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "run " << i;
@@ -151,7 +146,7 @@ TEST(RunSweep, PerfOnIsDeterministicAndCountsAreLive)
     // Every run carries the block with live event-queue and table
     // counters: a coherence run cannot complete without scheduling
     // events or probing the MSHR table.
-    for (const std::string &line : serial) {
+    for (const std::string &line : parallel) {
         ASSERT_NE(line.find("\"perf\":{"), std::string::npos);
         std::size_t eq = line.find("\"event_queue\":{");
         ASSERT_NE(eq, std::string::npos);
@@ -165,20 +160,20 @@ TEST(RunSweep, PerfOnIsDeterministicAndCountsAreLive)
 TEST(RunSweep, RecordsCarryTheirPointIdentity)
 {
     SweepMatrix m = smallMatrix();
-    auto results = runSweep(m, 4);
+    auto lines = queueRunLines(m, 4);
     auto points = m.expand();
-    ASSERT_EQ(results.size(), points.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].app, points[i].app);
-        EXPECT_EQ(results[i].config.policy, points[i].policy);
-        EXPECT_EQ(results[i].config.seed, points[i].seed);
-        EXPECT_GT(results[i].results.totalAccesses, 0u);
-        // The JSON line is non-empty, parseable-looking output.
-        std::string json = results[i].toJson();
-        EXPECT_EQ(json.front(), '{');
-        EXPECT_EQ(json.back(), '}');
-        EXPECT_NE(json.find("\"app\":\"" + points[i].app + "\""),
-                  std::string::npos);
+    ASSERT_EQ(lines.size(), points.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        std::optional<JsonValue> record = parseJson(lines[i]);
+        ASSERT_TRUE(record.has_value()) << "run " << i;
+        EXPECT_EQ(record->stringAt("app"), points[i].app);
+        EXPECT_EQ(record->stringAt("policy"),
+                  enumToken(points[i].policy));
+        EXPECT_EQ(record->numberAt("seed"),
+                  static_cast<double>(points[i].seed));
+        const JsonValue *results = record->find("results");
+        ASSERT_NE(results, nullptr) << "run " << i;
+        EXPECT_GT(results->numberAt("accesses"), 0.0) << "run " << i;
     }
 }
 

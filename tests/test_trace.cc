@@ -4,7 +4,8 @@
  * buffer, lifecycle records emitted by a real simulation, the
  * interval sampler, the Chrome trace exporter, and — the
  * load-bearing property — byte-identical trace and time-series
- * output for the same seed regardless of the sweep worker count.
+ * output for the same seed whether a run executes alone or as one
+ * of a parallel sweep job.
  */
 
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
+#include "sweep_reference.hh"
 #include "system/sweep.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/timeseries.hh"
@@ -347,16 +349,6 @@ tracedMatrix(const std::string &trace_dir)
     return m;
 }
 
-std::vector<std::string>
-jsonLines(const std::vector<RunResult> &results)
-{
-    std::vector<std::string> lines;
-    lines.reserve(results.size());
-    for (const RunResult &r : results)
-        lines.push_back(r.toJson());
-    return lines;
-}
-
 } // namespace
 
 TEST(TraceDeterminism, SeriesAndTraceBytesIdenticalAcrossJobs)
@@ -368,15 +360,17 @@ TEST(TraceDeterminism, SeriesAndTraceBytesIdenticalAcrossJobs)
         ASSERT_EQ(std::system(cmd.c_str()), 0);
     }
 
+    // The serial collectRun() loop is the reference; the engine
+    // runs the same matrix as one job on four workers.
     SweepMatrix m1 = tracedMatrix(dir1);
     SweepMatrix m4 = tracedMatrix(dir4);
-    auto serial = jsonLines(runSweep(m1, 1));
-    auto parallel = jsonLines(runSweep(m4, 4));
+    auto serial = serialRunLines(m1);
+    auto parallel = queueRunLines(m4, 4);
     ASSERT_EQ(serial.size(), 8u);
     ASSERT_EQ(parallel.size(), serial.size());
 
     // JSON-lines output (including the embedded time series) is
-    // byte-identical for any worker count...
+    // byte-identical to the reference...
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i], parallel[i]) << "run " << i;
         EXPECT_NE(serial[i].find("\"timeseries\""), std::string::npos);

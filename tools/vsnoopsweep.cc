@@ -4,7 +4,9 @@
  *
  * Expands a cross-product of sweep axes (apps x policies x
  * relocation modes x RO policies x seeds) over a shared base
- * configuration and executes every resulting run on a worker pool.
+ * configuration and executes every resulting run as one job on an
+ * in-process JobQueue (service/job_queue.hh), the engine vsnoopserve
+ * also runs on.
  * Output is JSON lines — one self-describing object per run (see
  * system/run_result.hh) — in deterministic matrix order:
  * byte-identical for any --jobs value.
@@ -16,23 +18,21 @@
  * --help for the full flag list.
  */
 
-#include <atomic>
 #include <chrono>
 #include <climits>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "service/job_queue.hh"
 #include "service/sweep_wire.hh"
 #include "sim/cli.hh"
 #include "sim/json.hh"
@@ -40,8 +40,9 @@
 #include "sim/metrics.hh"
 #include "sim/profiler.hh"
 #include "sim/stats_server.hh"
+#include "system/config_schema.hh"
 #include "system/heartbeat.hh"
-#include "system/run_totals.hh"
+#include "system/run_result.hh"
 #include "system/sweep.hh"
 
 using namespace vsnoop;
@@ -121,8 +122,8 @@ usage()
         "                        130 after writing completed runs.\n"
         "\n"
         "execution:\n"
-        "  --jobs N              worker threads (default hardware\n"
-        "                        concurrency)\n"
+        "  --jobs N              runs simulated at once (default\n"
+        "                        hardware concurrency)\n"
         "  --out FILE            write JSON lines to FILE instead of\n"
         "                        stdout\n"
         "  --list                print the expanded matrix and exit\n"
@@ -140,7 +141,7 @@ onSignal(int sig)
 {
     g_signal = sig;
     // Async-signal-safe notice; everything else happens on the
-    // normal threads once the cancel hook observes g_signal.
+    // main thread once its wait loop observes g_signal.
     static const char msg[] =
         "\nvsnoopsweep: interrupted; waiting for in-flight runs"
         " (repeat the signal to kill)\n";
@@ -403,93 +404,93 @@ main(int argc, char **argv)
     quietLogging(true);
     installSignalHandlers();
 
+    // One job on an in-process queue without a result store.
+    auto start = std::chrono::steady_clock::now();
+    HostProfiler profiler;
+    JobQueue queue(nullptr, jobs);
+    std::string error;
+    std::uint64_t id = queue.submit(matrix, "", &error, "",
+                                    want_profile ? &profiler : nullptr);
+    if (id == 0)
+        die(error);
+
     const std::uint64_t stall_ms = stall_secs * 1000;
-    SweepHeartbeat heartbeat(matrix);
+    const SweepHeartbeat &heartbeat = *queue.heartbeat(id);
     MetricsRegistry registry;
     heartbeat.registerMetrics(registry, stall_ms);
     // With --perf / --pages, each completed run's perfmon counters
     // and page-attribution totals fold into vsnoop_perf_* /
     // vsnoop_pages_* series; the add happens on worker threads
     // under the totals' own lock, never touching simulation.
-    RunTotals totals;
-    totals.registerMetrics(registry, matrix.base.perf, matrix.base.pages);
+    queue.totals().registerMetrics(registry, matrix.base.perf,
+                                   matrix.base.pages);
     registry.freeze();
 
     StatsServer server;
     if (!stats_addr.empty()) {
         registerTelemetryRoutes(server, registry, heartbeat, stall_ms);
-        std::string error;
-        if (!server.start(stats_addr, &error))
-            die("--stats-addr " + stats_addr + ": " + error);
+        if (!server.start(stats_addr, &error)) {
+            // Exit at once: die() would run static destructors under
+            // the runs already started, and waiting for them is slow.
+            std::cerr << "vsnoopsweep: --stats-addr " << stats_addr
+                      << ": " << error << "\n";
+            std::_Exit(2);
+        }
         std::cerr << "vsnoopsweep: listening on http://"
                   << server.address() << "\n";
     }
 
-    // The monitor thread is the registry's single publisher; it
-    // also prints the stderr heartbeat and runs the watchdog.  All
-    // of it only reads heartbeat cells, so simulation threads never
-    // notice the observer.
-    std::atomic<bool> monitor_stop{false};
-    std::mutex monitor_mutex;
-    std::condition_variable monitor_cv;
-    std::thread monitor([&] {
-        std::vector<std::uint8_t> was_stalled(heartbeat.runCount(), 0);
-        std::uint64_t next_beat = steadyNowMs() + heartbeat_secs * 1000;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(monitor_mutex);
-                if (monitor_cv.wait_for(
-                        lock, std::chrono::milliseconds(250),
-                        [&] { return monitor_stop.load(); }))
-                    break;
-            }
-            std::uint64_t now = steadyNowMs();
-            registry.publish();
-            if (stall_ms > 0) {
-                for (std::size_t i = 0; i < heartbeat.runCount(); ++i) {
-                    bool stalled = heartbeat.run(i).stalled(now, stall_ms);
-                    if (stalled && !was_stalled[i]) {
-                        std::cerr << "vsnoopsweep: watchdog: run "
-                                  << heartbeat.info(i).label
-                                  << " has made no progress for "
-                                  << stall_secs << " s\n";
-                    } else if (!stalled && was_stalled[i]) {
-                        std::cerr << "vsnoopsweep: watchdog: run "
-                                  << heartbeat.info(i).label
-                                  << " is making progress again\n";
-                    }
-                    was_stalled[i] = stalled ? 1 : 0;
+    // The main thread is the registry's single publisher; every
+    // 250 ms it also runs the watchdog and prints the heartbeat, all
+    // reading progress cells only.  It wakes every 20 ms so a signal
+    // cancels the job promptly.
+    std::vector<std::uint8_t> was_stalled(heartbeat.runCount(), 0);
+    std::uint64_t next_publish = steadyNowMs() + 250;
+    std::uint64_t next_beat = steadyNowMs() + heartbeat_secs * 1000;
+    JobStatus status;
+    for (;;) {
+        status = *queue.waitFor(id, 20);
+        if (jobStateTerminal(status.state))
+            break;
+        if (g_signal != 0 && !status.cancelRequested)
+            queue.cancel(id);
+        std::uint64_t now = steadyNowMs();
+        if (now < next_publish)
+            continue;
+        next_publish = now + 250;
+        registry.publish();
+        if (stall_ms > 0) {
+            for (std::size_t i = 0; i < heartbeat.runCount(); ++i) {
+                bool stalled = heartbeat.run(i).stalled(now, stall_ms);
+                if (stalled && !was_stalled[i]) {
+                    std::cerr << "vsnoopsweep: watchdog: run "
+                              << heartbeat.info(i).label
+                              << " has made no progress for "
+                              << stall_secs << " s\n";
+                } else if (!stalled && was_stalled[i]) {
+                    std::cerr << "vsnoopsweep: watchdog: run "
+                              << heartbeat.info(i).label
+                              << " is making progress again\n";
                 }
-            }
-            if (heartbeat_secs > 0 && now >= next_beat) {
-                std::cerr << "vsnoopsweep: "
-                          << heartbeat.heartbeatLine(now) << "\n";
-                next_beat = now + heartbeat_secs * 1000;
+                was_stalled[i] = stalled ? 1 : 0;
             }
         }
-        // Final publish so a post-completion scrape sees the end
-        // state (every run done, rate and ETA settled).
-        registry.publish();
-    });
-
-    auto start = std::chrono::steady_clock::now();
-    HostProfiler profiler;
-    SweepExecution exec = runSweepMonitored(
-        matrix, jobs, want_profile ? &profiler : nullptr, &heartbeat,
-        [] { return g_signal != 0; },
-        [&](std::size_t, const RunResult &result) {
-            totals.add(result.results);
-        });
+        if (heartbeat_secs > 0 && now >= next_beat) {
+            std::cerr << "vsnoopsweep: "
+                      << heartbeat.heartbeatLine(now) << "\n";
+            next_beat = now + heartbeat_secs * 1000;
+        }
+    }
+    // Final publish so a post-completion scrape sees the end
+    // state (every run done, rate and ETA settled).
+    registry.publish();
     auto elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-
-    {
-        std::lock_guard<std::mutex> lock(monitor_mutex);
-        monitor_stop.store(true);
-    }
-    monitor_cv.notify_all();
-    monitor.join();
+    if (status.state == JobState::Failed)
+        die("sweep failed: " + status.error);
+    // A signal interrupts the sweep even after the last dispatch.
+    bool interrupted = g_signal != 0;
 
     std::ofstream file;
     if (!out_path.empty()) {
@@ -499,13 +500,33 @@ main(int argc, char **argv)
     }
     std::ostream &out = out_path.empty() ? std::cout : file;
     // Completed records only, in matrix order; an interrupted sweep
-    // never emits a partially-built record.
-    for (std::size_t i = 0; i < exec.results.size(); ++i) {
-        if (exec.completed[i])
-            out << exec.results[i].toJson() << "\n";
-    }
-    std::size_t runs_completed = exec.completedCount();
-    if (exec.interrupted) {
+    // never emits a partially-built record.  The stderr summary's
+    // trace and isolation figures are read back from the records.
+    std::size_t runs_completed = 0;
+    bool traced = false;
+    std::uint64_t dropped = 0;
+    std::uint64_t lookups = 0, offdiag = 0;
+    queue.streamResults(id, [&](const std::string &line) {
+        out << line << "\n";
+        ++runs_completed;
+        JsonValue record = *parseJson(line);
+        if (const JsonValue *trace = record.find("trace")) {
+            traced = true;
+            dropped += *trace->find("records_dropped")->uinteger();
+        }
+        const std::vector<JsonValue> &rows =
+            record.find("results")->find("interference")
+                ->find("snoop_lookups")->items();
+        for (std::size_t row = 0; row < rows.size(); ++row) {
+            for (std::size_t col = 0; col < rows.size(); ++col) {
+                std::uint64_t n = *rows[row].items()[col].uinteger();
+                lookups += n;
+                offdiag += row == col ? 0 : n;
+            }
+        }
+        return true;
+    });
+    if (interrupted) {
         // Trailing summary line so consumers of a truncated file can
         // tell "interrupted" from "small sweep" without guessing.
         JsonWriter json;
@@ -517,7 +538,7 @@ main(int argc, char **argv)
         json.key("runs_completed")
             .value(static_cast<std::uint64_t>(runs_completed));
         json.key("runs_total")
-            .value(static_cast<std::uint64_t>(exec.results.size()));
+            .value(static_cast<std::uint64_t>(status.runsTotal));
         json.endObject();
         json.endObject();
         out << json.str() << "\n";
@@ -531,23 +552,10 @@ main(int argc, char **argv)
                       ? static_cast<double>(runs_completed) / elapsed
                       : 0.0;
     std::cerr << "vsnoopsweep: " << runs_completed;
-    if (exec.interrupted)
-        std::cerr << "/" << exec.results.size();
+    if (interrupted)
+        std::cerr << "/" << status.runsTotal;
     std::cerr << " runs in " << elapsed << " s (" << rate
               << " runs/s)";
-    bool traced = false;
-    std::uint64_t dropped = 0;
-    std::uint64_t lookups = 0, offdiag = 0;
-    for (std::size_t i = 0; i < exec.results.size(); ++i) {
-        if (!exec.completed[i])
-            continue;
-        traced = traced || exec.results[i].traceAttached;
-        dropped += exec.results[i].traceRecordsDropped;
-        const InterferenceSnapshot &in =
-            exec.results[i].results.interference;
-        lookups += in.total(in.snoopLookups);
-        offdiag += in.offDiagonal(in.snoopLookups);
-    }
     if (traced)
         std::cerr << ", trace records dropped: " << dropped;
     if (lookups > 0) {
@@ -559,12 +567,12 @@ main(int argc, char **argv)
                           static_cast<double>(lookups));
         std::cerr << ", cross-VM lookup share: " << share << "%";
     }
-    if (exec.interrupted)
+    if (interrupted)
         std::cerr << " — interrupted";
     std::cerr << "\n";
     if (want_profile)
         writeProfile(std::cerr, profiler);
-    if (exec.interrupted)
+    if (interrupted)
         return 128 + static_cast<int>(g_signal);
     return 0;
 }
