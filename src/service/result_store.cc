@@ -1,10 +1,12 @@
 #include "service/result_store.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <tuple>
 #include <vector>
 
 #include "service/sweep_wire.hh"
@@ -49,32 +51,11 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes,
     dir_ = dir;
     maxBytes_ = maxBytes;
 
-    // The index orders known hashes least-recent first; objects it
-    // mentions that are gone are skipped, objects it misses are
-    // adopted afterwards (as most recent, since nothing more is
-    // known about them).
-    std::string index_text;
-    if (readWholeFile((fs::path(dir_) / "index").string(),
-                      &index_text)) {
-        std::size_t pos = 0;
-        while (pos < index_text.size()) {
-            std::size_t eol = index_text.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = index_text.size();
-            std::string line = index_text.substr(pos, eol - pos);
-            pos = eol + 1;
-            std::size_t space = line.find(' ');
-            if (space == std::string::npos)
-                continue;
-            std::string hash = line.substr(0, space);
-            std::uint64_t size = fs::file_size(objectPath(hash), ec);
-            if (ec || entries_.count(hash) != 0)
-                continue;
-            lru_.push_back(hash);
-            entries_[hash] = Entry{size, std::prev(lru_.end())};
-            bytes_ += size;
-        }
-    }
+    // Recency is not persisted: adopt every object as last used when
+    // it was written.  Sorting (mtime, name, bytes) puts the oldest
+    // first and breaks ties within one timestamp tick by name.
+    std::vector<std::tuple<fs::file_time_type, std::string, std::uint64_t>>
+        found;
     for (const fs::directory_entry &object :
          fs::directory_iterator(fs::path(dir_) / "objects", ec)) {
         if (!object.is_regular_file())
@@ -85,20 +66,24 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes,
             fs::remove(object.path(), ec);
             continue;
         }
-        if (entries_.count(name) != 0)
-            continue;
-        std::uint64_t size = object.file_size(ec);
-        if (ec)
-            continue;
-        lru_.push_back(name);
-        entries_[name] = Entry{size, std::prev(lru_.end())};
+        fs::file_time_type mtime = object.last_write_time(ec);
+        std::uint64_t size = ec ? 0 : object.file_size(ec);
+        if (!ec)
+            found.emplace_back(mtime, std::move(name), size);
+    }
+    std::sort(found.begin(), found.end());
+    for (auto &[mtime, name, size] : found) {
+        lru_.push_back(std::move(name));
+        entries_[lru_.back()] = Entry{size, std::prev(lru_.end())};
         bytes_ += size;
     }
+    // Older builds kept an LRU index beside objects/.
+    for (const char *stale : {"index", "index.tmp"})
+        fs::remove(fs::path(dir_) / stale, ec);
 
     opened_ = true;
     evictLocked("");
     evictExpiredLocked();
-    rewriteIndexLocked();
     return true;
 }
 
@@ -121,10 +106,7 @@ ResultStore::evictExpired()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     vsnoop_assert(opened_, "result store used before open()");
-    std::size_t evicted = evictExpiredLocked();
-    if (evicted > 0)
-        rewriteIndexLocked();
-    return evicted;
+    return evictExpiredLocked();
 }
 
 std::size_t
@@ -201,24 +183,6 @@ ResultStore::evictLocked(const std::string &keepHash)
     }
 }
 
-void
-ResultStore::rewriteIndexLocked()
-{
-    std::string tmp = (fs::path(dir_) / "index.tmp").string();
-    std::string final_path = (fs::path(dir_) / "index").string();
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        for (const std::string &hash : lru_)
-            out << hash << ' ' << entries_[hash].bytes << '\n';
-        if (!out.good()) {
-            ++writeFailures_;
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), final_path.c_str()) != 0)
-        ++writeFailures_;
-}
-
 std::optional<std::string>
 ResultStore::get(const std::string &key)
 {
@@ -230,31 +194,21 @@ ResultStore::get(const std::string &key)
         ++misses_;
         return std::nullopt;
     }
+    // put() writes "<key>\n<record>\n"; anything else is a torn
+    // write, a hash collision or tampering: recompute.
     std::string content;
-    if (!readWholeFile(objectPath(hash), &content)) {
+    const std::size_t head = key.size() + 1;
+    if (!readWholeFile(objectPath(hash), &content) ||
+        content.size() <= head || content.compare(0, key.size(), key) != 0 ||
+        content[key.size()] != '\n' || content.back() != '\n') {
         dropLocked(hash, true);
         ++corrupt_;
         ++misses_;
-        rewriteIndexLocked();
         return std::nullopt;
     }
-    std::size_t eol = content.find('\n');
-    if (eol == std::string::npos || content.compare(0, eol, key) != 0 ||
-        eol + 1 >= content.size()) {
-        // Torn write, hash collision, or tampering: recompute.
-        dropLocked(hash, true);
-        ++corrupt_;
-        ++misses_;
-        rewriteIndexLocked();
-        return std::nullopt;
-    }
-    std::string record = content.substr(eol + 1);
-    if (record.back() == '\n')
-        record.pop_back();
     ++hits_;
     touchLocked(hash);
-    rewriteIndexLocked();
-    return record;
+    return content.substr(head, content.size() - head - 1);
 }
 
 void
@@ -296,7 +250,6 @@ ResultStore::put(const std::string &key, const std::string &record)
     bytes_ += content.size();
     ++insertions_;
     evictLocked(hash);
-    rewriteIndexLocked();
 }
 
 std::uint64_t
@@ -331,6 +284,8 @@ ResultStore::registerMetrics(MetricsRegistry &registry) const
         "vsnoop_store_corrupt_dropped_total",
         "Entries dropped because their object was missing or torn",
         atomicSource(corrupt_));
+    // Counts object writes only; the help text is kept byte-stable
+    // as part of the served exposition (tests/golden/served.prom).
     registry.addCounter("vsnoop_store_write_failures_total",
                         "Failed object or index writes",
                         atomicSource(writeFailures_));

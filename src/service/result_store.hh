@@ -10,16 +10,17 @@
  * full resolved config + app + seed + build provenance), so the
  * store can hand back cached bytes as if the run had just executed.
  *
- * Layout under the store directory:
- *  - objects/<hash>   one entry: line 1 is the canonical key, the
- *    rest is the run's JSON record.  Written to a temp file and
- *    rename()d into place, so readers never observe a torn entry
- *    and a crash leaves at most an orphaned temp file.
- *  - index            "<hash> <bytes>" per line, least-recently
- *    used first; rewritten after every mutation.  Purely an LRU
- *    ordering hint — open() re-stats every object and adopts
- *    objects missing from the index, so losing it costs only
- *    recency information, never entries.
+ * The store's only on-disk state is objects/<hash>, one file per
+ * entry: line 1 is the canonical key, the rest is the run's JSON
+ * record and a final newline.  Each is written to a temp file and
+ * rename()d into place, so readers never observe a torn entry and
+ * a crash leaves at most an orphaned temp file.
+ *
+ * Recency is kept only in memory: a hit moves its entry in the LRU
+ * list and writes nothing.  open() rebuilds the list with one scan
+ * of objects/, oldest-written first, so after a restart eviction
+ * starts from the oldest-written records, not the least recently
+ * used ones.
  *
  * Eviction is by total object bytes (maxBytes), least-recently-used
  * first; the entry just inserted is never evicted even when it
@@ -28,10 +29,11 @@
  * (run at open() and periodically by the serving loop) drops every
  * object whose file mtime is older than the cutoff, regardless of
  * recency of use — a sweep result computed by a stale build ages
- * out even while it keeps getting hits.  A get() whose object is missing, torn,
- * or keyed differently than requested (hash collision or manual
- * tampering) drops the entry and reports a miss — corruption heals
- * by recomputation, never by serving wrong bytes.
+ * out even while it keeps getting hits.  A get() whose object is
+ * missing, torn (no final newline), or keyed differently than
+ * requested (hash collision or manual tampering) drops the entry
+ * and reports a miss — corruption heals by recomputation, never by
+ * serving wrong bytes.
  *
  * All operations are serialized by an internal mutex; the store is
  * safe to share between HTTP workers and sweep workers.
@@ -62,11 +64,11 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
     /**
-     * Bind the store to @p dir (created if absent), load the index,
-     * adopt any orphaned objects, and evict down to @p maxBytes.
-     * Returns false with @p error set when the directory cannot be
-     * created or read.  Must be called (successfully) before
-     * get()/put().
+     * Bind the store to @p dir (created if absent), adopt every
+     * object under it oldest-written first, and evict down to
+     * @p maxBytes.  Returns false with @p error set when the
+     * directory cannot be created or read.  Must be called
+     * (successfully) before get()/put().
      */
     bool open(const std::string &dir, std::uint64_t maxBytes,
               std::string *error = nullptr);
@@ -74,7 +76,7 @@ class ResultStore
     /**
      * The record stored under @p key (a canonical runCacheKey()
      * string, not a hash), or nullopt.  Counts one hit or one miss;
-     * a hit refreshes the entry's recency.
+     * a hit refreshes the entry's recency in memory only.
      */
     std::optional<std::string> get(const std::string &key);
 
@@ -111,6 +113,7 @@ class ResultStore
     std::uint64_t evictions() const { return evictions_.load(); }
     /** Entries dropped because their object was missing/torn. */
     std::uint64_t corruptDropped() const { return corrupt_.load(); }
+    /** Failed object writes (the entry is dropped, not stored). */
     std::uint64_t writeFailures() const
     {
         return writeFailures_.load();
@@ -142,7 +145,6 @@ class ResultStore
     void touchLocked(const std::string &hash);
     void dropLocked(const std::string &hash, bool unlink);
     void evictLocked(const std::string &keepHash);
-    void rewriteIndexLocked();
 
     mutable std::mutex mutex_;
     std::string dir_;

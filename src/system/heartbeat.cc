@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -450,6 +452,58 @@ SweepHeartbeat::heartbeatLine(std::uint64_t nowMs) const
 }
 
 void
+registerLogRoute(StatsServer &server)
+{
+    server.routePrefix("GET", "/logs", [](const HttpRequest &request) {
+        HttpResponse resp;
+        if (request.path != "/logs") {
+            resp.status = 404;
+            resp.body = "not found\n";
+            return resp;
+        }
+        LogLevel min_level = LogLevel::Debug;
+        std::size_t max_count = std::size_t(-1);
+        // Query is "k=v&k=v"; unknown keys are ignored, a bad
+        // level or count is a client error.
+        const std::string &q = request.query;
+        for (std::size_t pos = 0; pos < q.size();) {
+            std::size_t amp = q.find('&', pos);
+            if (amp == std::string::npos)
+                amp = q.size();
+            std::string pair = q.substr(pos, amp - pos);
+            pos = amp + 1;
+            std::size_t eq = pair.find('=');
+            if (eq == std::string::npos)
+                continue;
+            std::string key = pair.substr(0, eq);
+            std::string value = pair.substr(eq + 1);
+            if (key == "level") {
+                std::optional<LogLevel> parsed = parseLogLevel(value);
+                if (!parsed) {
+                    resp.status = 400;
+                    resp.body = "unknown level '" + value +
+                                "' (debug|info|warn|error)\n";
+                    return resp;
+                }
+                min_level = *parsed;
+            } else if (key == "n") {
+                char *end = nullptr;
+                std::uint64_t n = std::strtoull(value.c_str(), &end, 10);
+                if (end == value.c_str() || *end != '\0' || n == 0) {
+                    resp.status = 400;
+                    resp.body = "n expects a positive integer\n";
+                    return resp;
+                }
+                max_count = static_cast<std::size_t>(n);
+            }
+        }
+        resp.contentType = "application/x-ndjson";
+        resp.body = slog().renderJsonl(min_level, max_count);
+        return resp;
+    });
+}
+
+void
 registerTelemetryRoutes(StatsServer &server,
                         const MetricsRegistry &registry,
                         const SweepHeartbeat &heartbeat,
@@ -474,13 +528,7 @@ registerTelemetryRoutes(StatsServer &server,
         resp.body = heartbeat.runsJson(steadyNowMs(), stallMs) + "\n";
         return resp;
     });
-    server.route("/logs", [] {
-        HttpResponse resp;
-        resp.contentType = "application/x-ndjson";
-        resp.body = slog().renderJsonl(LogLevel::Debug,
-                                       std::size_t(-1));
-        return resp;
-    });
+    registerLogRoute(server);
     server.route("/", [] {
         HttpResponse resp;
         resp.body = "vsnoop live telemetry\n"

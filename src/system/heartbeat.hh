@@ -210,10 +210,18 @@ class SweepHeartbeat
 };
 
 /**
+ * GET /logs: the slog ring as JSONL, oldest first.  "?level=L" keeps
+ * records at L (debug|info|warn|error) or above and "?n=N" the
+ * newest N; a bad level or count is a 400.
+ */
+void registerLogRoute(StatsServer &server);
+
+/**
  * Wire the standard telemetry routes onto a stats server:
  *   /metrics  — Prometheus exposition of @p registry's snapshot
  *   /progress — heartbeat.progressJson()
  *   /runs     — heartbeat.runsJson()
+ *   /logs     — registerLogRoute()
  *   /         — a plain-text endpoint index
  * The handlers capture references: both objects must outlive the
  * server's serving window (stop the server first).

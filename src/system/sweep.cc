@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -13,8 +14,15 @@ namespace vsnoop
 std::size_t
 SweepMatrix::runCount() const
 {
-    return apps.size() * policies.size() * relocations.size() *
-           roPolicies.size() * seeds.size();
+    // Saturate: wire axes accept duplicates, so a product that wraps
+    // must not slip under a caller's cap.
+    std::size_t runs = 1;
+    for (std::size_t axis : {apps.size(), policies.size(),
+                             relocations.size(), roPolicies.size(),
+                             seeds.size()})
+        if (__builtin_mul_overflow(runs, axis, &runs))
+            return SIZE_MAX;
+    return runs;
 }
 
 std::vector<SweepPoint>

@@ -72,6 +72,7 @@ struct SweepMatrix
      */
     std::string traceDir;
 
+    /** The product of the axis sizes, or SIZE_MAX if it overflows. */
     std::size_t runCount() const;
 
     /** The cross-product in deterministic order. */

@@ -10,6 +10,7 @@
  * ResultStores keep hitting, archived records keep their bytes).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <set>
@@ -440,6 +441,28 @@ TEST(ConfigSchema, WireRejectsUnknownKeysWrongTypesAndSmallValues)
               "mesh_width and mesh_height must be at least 1");
     EXPECT_EQ(configError("{\"mesh_width\":9,\"mesh_height\":8}"),
               "mesh 9x8 has 72 cores; at most 64 are supported");
+}
+
+TEST(ConfigSchema, WireRejectsARunCountThatWraps)
+{
+    // Five axes of 8192 duplicates are 2^65 runs, which wraps a
+    // 64-bit product to 0; the body is still under the 1 MB limit.
+    auto axis = [](const char *name, const std::string &item) {
+        std::string json = std::string("\"") + name + "\":[";
+        for (int i = 0; i < 8192; ++i)
+            json += (i ? "," : "") + item;
+        return json + "]";
+    };
+    const std::string body = "{" + axis("apps", "\"fft\"") + "," +
+                             axis("policies", "\"vsnoop\"") + "," +
+                             axis("relocations", "\"base\"") + "," +
+                             axis("ro_policies", "\"intra-vm\"") + "," +
+                             axis("seeds", "1") + "}";
+    ASSERT_LT(body.size(), 1024u * 1024u);
+    std::string error;
+    EXPECT_FALSE(parseBody(body, &error));
+    EXPECT_EQ(error, "matrix expands to " + std::to_string(SIZE_MAX) +
+                         " runs; the service caps submissions at 4096");
 }
 
 TEST(ConfigSchema, VsnoopsimFlagsYieldTheWireBodysConfig)

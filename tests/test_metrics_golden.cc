@@ -273,8 +273,7 @@ TEST(MetricsGolden, ServedRegistry)
     server.route("/", [] { return HttpResponse{}; });
     server.route("/metrics", [] { return HttpResponse{}; });
     registerJobRoutes(server, queue);
-    server.routePrefix("GET", "/logs",
-                       [](const HttpRequest &) { return HttpResponse{}; });
+    registerLogRoute(server);
 
     store.registerMetrics(registry);
     queue.registerMetrics(registry);

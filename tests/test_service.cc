@@ -233,14 +233,123 @@ TEST(ResultStore, ReopenRecoversEntriesFromDisk)
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, "{\"run\":\"a\"}");
 
-    // Even without the index (recency hints), objects are adopted.
-    fs::remove(dir / "index");
+    // A directory an older build used also holds an LRU index and
+    // perhaps a torn index.tmp: every object is adopted, and both
+    // files are removed.
+    {
+        std::ofstream index(dir / "index");
+        for (const char *key : {"key-b", "key-a"})
+            index << contentHash(key) << ' '
+                  << fs::file_size(dir / "objects" / contentHash(key))
+                  << '\n';
+        std::ofstream(dir / "index.tmp") << contentHash("key-a");
+    }
     ResultStore adopted;
     ASSERT_TRUE(adopted.open(dir.string(), 1 << 20, &error)) << error;
     EXPECT_EQ(adopted.entryCount(), 2u);
     got = adopted.get("key-b");
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, "{\"run\":\"b\"}");
+    EXPECT_FALSE(fs::exists(dir / "index"));
+    EXPECT_FALSE(fs::exists(dir / "index.tmp"));
+    fs::remove_all(dir);
+}
+
+TEST(ResultStore, ReopenAdoptsObjectsOldestWrittenFirst)
+{
+    fs::path dir = freshDir("reopen_order");
+    auto object = [&dir](const char *key) {
+        return dir / "objects" / contentHash(key);
+    };
+    // Two 32-byte entries fill the 70-byte cap; a third evicts one.
+    const std::string record(28, 'r');
+    std::string error;
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(dir.string(), 70, &error)) << error;
+        store.put("kn", record);
+        store.put("ko", record);
+    }
+    // "ko" was put last but is the older write.
+    const fs::file_time_type now = fs::file_time_type::clock::now();
+    fs::last_write_time(object("kn"), now - std::chrono::hours(1));
+    fs::last_write_time(object("ko"), now - std::chrono::hours(2));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(dir.string(), 70, &error)) << error;
+        store.put("k3", record);
+        EXPECT_EQ(store.evictions(), 1u);
+        EXPECT_FALSE(fs::exists(object("ko")));
+        ASSERT_TRUE(fs::exists(object("kn")));
+        // A hit moves the entry in memory only: its mtime, which age
+        // GC reads as the write time, stays put.
+        const fs::file_time_type written = fs::last_write_time(object("kn"));
+        EXPECT_TRUE(store.get("kn").has_value());
+        EXPECT_EQ(fs::last_write_time(object("kn")), written);
+    }
+    // Objects written within one timestamp tick adopt in name order.
+    fs::last_write_time(object("kn"), now);
+    fs::last_write_time(object("k3"), now);
+    const bool kn_first = contentHash("kn") < contentHash("k3");
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(dir.string(), 70, &error)) << error;
+        store.put("k4", record);
+        EXPECT_EQ(fs::exists(object("kn")), !kn_first);
+        EXPECT_EQ(fs::exists(object("k3")), kn_first);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ResultStore, DropsEveryDamagedObjectAsAMiss)
+{
+    fs::path dir = freshDir("damaged");
+    ResultStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(dir.string(), 1 << 20, &error)) << error;
+
+    const std::string key = "key-d";
+    const std::string record = "{\"run\":\"abcdefghijklmnopqrstuvwxyz\"}";
+    const std::string whole = key + '\n' + record + '\n';
+    std::string zero_tail = whole;
+    std::fill(zero_tail.end() - 10, zero_tail.end(), '\0');
+    const std::pair<const char *, std::string> damaged[] = {
+        {"empty file", ""},
+        {"key line only", key + '\n'},
+        {"key without a newline", key},
+        {"another key", "key-e\n" + record + '\n'},
+        {"record truncated mid-line", whole.substr(0, whole.size() - 10)},
+        {"zero-filled tail", zero_tail},
+    };
+    const fs::path object = dir / "objects" / contentHash(key);
+    std::uint64_t drops = 0;
+    for (const auto &[what, bytes] : damaged) {
+        store.put(key, record);
+        {
+            std::ofstream os(object, std::ios::binary | std::ios::trunc);
+            os << bytes;
+        }
+        const std::uint64_t misses = store.misses();
+        EXPECT_FALSE(store.get(key).has_value()) << what;
+        EXPECT_EQ(store.corruptDropped(), ++drops) << what;
+        EXPECT_EQ(store.misses(), misses + 1) << what;
+        EXPECT_EQ(store.entryCount(), 0u) << what;
+        EXPECT_FALSE(fs::exists(object)) << what;
+    }
+
+    // A fresh put round-trips; an unknown key is a plain miss.
+    store.put(key, record);
+    std::optional<std::string> got = store.get(key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, record);
+    EXPECT_FALSE(store.get("no-such-key").has_value());
+    EXPECT_EQ(store.corruptDropped(), drops);
+
+    // Puts, hits, misses and drops leave nothing beside objects/.
+    std::vector<std::string> names;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"objects"});
     fs::remove_all(dir);
 }
 

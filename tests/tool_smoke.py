@@ -22,13 +22,15 @@ that the trace step wrote).  STEP is one of:
                      server exits 0 on SIGINT
   live_telemetry     a monitored sweep serves a well-formed /metrics
                      with exactly the sweep's metric families, plus
-                     /progress and /runs, mid-run; monitoring leaves
-                     its output bytes unchanged
+                     /progress, /runs and a level-filtered /logs,
+                     mid-run; monitoring leaves its output bytes
+                     unchanged
   service            a vsnoopserve streams offline bytes, serves a
                      resubmission from its cache, round-trips --submit,
                      threads request ids through logs and metrics,
                      aggregates --perf and --pages, and drains on
-                     SIGINT with job spans that tile submit-to-done
+                     SIGINT with job spans that tile submit-to-done;
+                     a server restarted on that cache answers from it
 
 Each step exits non-zero on the first failed check.
 """
@@ -110,6 +112,16 @@ def fetch(addr, path, out):
     with open(out, "wb") as f:
         f.write(body)
     return body
+
+
+def expect_status(addr, path, status):
+    """GET @path must fail with HTTP @status."""
+    try:
+        http(addr, path)
+    except urllib.error.HTTPError as e:
+        assert e.code == status, (path, e.code)
+    else:
+        raise AssertionError(f"{path} did not fail with {status}")
 
 
 def contains(path, *needles):
@@ -396,6 +408,12 @@ def live_telemetry():
         fetch(addr, "/metrics", "live.metrics")
         fetch(addr, "/progress", "live.progress")
         fetch(addr, "/runs", "live.runs")
+        # The sweep's /logs honors the level filter, as the server's
+        # does.
+        errors = fetch(addr, "/logs?level=error", "live.errors.jsonl")
+        assert all(json.loads(line)["level"] == "error"
+                   for line in errors.splitlines() if line.strip()), errors
+        expect_status(addr, "/logs?level=banana", 400)
         tool("vsnooptop", "--addr", addr, "--once")
         rc = sweep.wait()
     finally:
@@ -544,12 +562,7 @@ def served_steps(addr):
     contains("svc-logs.jsonl", '"request_id":"ci-rid-1"')
     errors = fetch(addr, "/logs?level=error", "svc-errors.jsonl")
     assert b'"level":"info"' not in errors, errors
-    try:
-        http(addr, "/logs?level=banana")
-    except urllib.error.HTTPError:
-        pass
-    else:
-        raise AssertionError("/logs accepted a bogus level")
+    expect_status(addr, "/logs?level=banana", 400)
     # /metrics carries well-formed histogram families whose _count
     # totals reconcile with the job counters, plus build info and
     # uptime.
@@ -617,6 +630,16 @@ def served_steps(addr):
     assert nonzero(metrics, "vsnoop_pages_hottest_lookups")
 
 
+def drain(server):
+    """SIGINT @server; it must exit 0 within 10 s."""
+    server.send_signal(signal.SIGINT)
+    try:
+        rc = server.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        raise AssertionError("server did not drain on SIGINT")
+    assert rc == 0, rc
+
+
 def service():
     # The serving path end to end: a vsnoopserve on an ephemeral port
     # with a fresh cache, driven through byte identity, a cache hit,
@@ -628,11 +651,7 @@ def service():
                   err="svc-serve.err")
     try:
         served_steps(bound_addr("svc-serve.err"))
-        serve.send_signal(signal.SIGINT)
-        try:
-            serve.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            raise AssertionError("server did not drain on SIGINT")
+        drain(serve)
     finally:
         serve.kill()
     contains("svc-serve.err", "jobs submitted")
@@ -654,6 +673,27 @@ def service():
         total = execute["ts"] + execute["dur"] - wait["ts"]
         assert total == wait["dur"] + execute["dur"]
     print(len(jobs), "jobs' spans tile submit-to-done OK")
+
+    # A restarted server answers from the cache the first one left,
+    # and that cache directory holds nothing but objects/.
+    serve = spawn("vsnoopserve", "--addr", "127.0.0.1:0", "--cache-dir",
+                  "svc-cache", "--jobs", JOBS, err="svc-serve2.err")
+    try:
+        addr = bound_addr("svc-serve2.err")
+        job = submit(addr, SERVED)[0]
+        s = await_done(addr, job, 100, "svc-status-restart.json")
+        assert s["runs_from_cache"] == 8, s
+        assert s["runs_executed"] == 0, s
+        fetch(addr, f"/jobs/{job}/results", "svc-served-restart.jsonl")
+        same("svc-served-restart.jsonl", "svc-offline.jsonl")
+        time.sleep(1)
+        metrics = fetch(addr, "/metrics", "svc-metrics-restart.txt").decode()
+        assert has_line(metrics, r"^vsnoop_store_hits_total 8$"), metrics
+        drain(serve)
+    finally:
+        serve.kill()
+    assert os.listdir("svc-cache") == ["objects"], os.listdir("svc-cache")
+    print("restarted server answered from its cache OK")
 
 
 STEPS = {f.__name__: f for f in (sweep_determinism, trace, html_report,

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -46,6 +47,7 @@
 #include "sim/metrics.hh"
 #include "sim/slog.hh"
 #include "sim/stats_server.hh"
+#include "system/heartbeat.hh"
 #include "trace/job_trace.hh"
 
 using namespace vsnoop;
@@ -76,7 +78,8 @@ usage()
         "                        to max(N, nproc) runs execute at\n"
         "                        once across jobs (N counted up to\n"
         "                        256)\n"
-        "  --http-threads N      HTTP connection workers (default 8)\n"
+        "  --http-threads N      HTTP connection workers (default 8,\n"
+        "                        at most 256)\n"
         "  --max-body-kb N       reject request bodies over N KB\n"
         "                        with 413 (default 1024)\n"
         "  --read-timeout-ms N   drop clients stalled longer than N\n"
@@ -185,16 +188,16 @@ main(int argc, char **argv)
         } else if (flag == "--cache-dir") {
             cache_dir = args.value();
         } else if (flag == "--cache-max-mb") {
-            cache_max_mb = args.uintValue();
+            cache_max_mb = args.uintValue(UINT64_MAX >> 20);
         } else if (flag == "--jobs") {
             jobs = static_cast<unsigned>(args.uintValue(UINT_MAX));
         } else if (flag == "--http-threads") {
-            http_threads =
-                static_cast<unsigned>(args.uintValue(UINT_MAX));
+            // StatsServer starts every worker up front.
+            http_threads = static_cast<unsigned>(args.uintValue(256));
             if (http_threads == 0)
                 die("--http-threads must be at least 1");
         } else if (flag == "--max-body-kb") {
-            max_body_kb = args.uintValue();
+            max_body_kb = args.uintValue(SIZE_MAX >> 10);
             if (max_body_kb == 0)
                 die("--max-body-kb must be at least 1");
         } else if (flag == "--read-timeout-ms") {
@@ -262,55 +265,7 @@ main(int argc, char **argv)
         return resp;
     });
     registerJobRoutes(server, queue);
-    server.routePrefix("GET", "/logs", [](const HttpRequest &request) {
-        HttpResponse resp;
-        if (request.path != "/logs") {
-            resp.status = 404;
-            resp.body = "not found\n";
-            return resp;
-        }
-        LogLevel min_level = LogLevel::Debug;
-        std::size_t max_count = std::size_t(-1);
-        // Query is "k=v&k=v"; unknown keys are ignored, a bad
-        // level or count is a client error.
-        const std::string &q = request.query;
-        for (std::size_t pos = 0; pos < q.size();) {
-            std::size_t amp = q.find('&', pos);
-            if (amp == std::string::npos)
-                amp = q.size();
-            std::string pair = q.substr(pos, amp - pos);
-            pos = amp + 1;
-            std::size_t eq = pair.find('=');
-            if (eq == std::string::npos)
-                continue;
-            std::string key = pair.substr(0, eq);
-            std::string value = pair.substr(eq + 1);
-            if (key == "level") {
-                std::optional<LogLevel> parsed =
-                    parseLogLevel(value);
-                if (!parsed) {
-                    resp.status = 400;
-                    resp.body = "unknown level '" + value +
-                                "' (debug|info|warn|error)\n";
-                    return resp;
-                }
-                min_level = *parsed;
-            } else if (key == "n") {
-                char *end = nullptr;
-                std::uint64_t n =
-                    std::strtoull(value.c_str(), &end, 10);
-                if (end == value.c_str() || *end != '\0' || n == 0) {
-                    resp.status = 400;
-                    resp.body = "n expects a positive integer\n";
-                    return resp;
-                }
-                max_count = static_cast<std::size_t>(n);
-            }
-        }
-        resp.contentType = "application/x-ndjson";
-        resp.body = slog().renderJsonl(min_level, max_count);
-        return resp;
-    });
+    registerLogRoute(server);
 
     // All routes are known now; register their series, then the
     // store's and the queue's, and freeze the layout.

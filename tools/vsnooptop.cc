@@ -222,8 +222,8 @@ renderLogTail(const std::string &addr)
         httpGet(addr, "/logs?level=warn&n=64", &error);
     if (!body || body->empty())
         return "";
-    // Filter client-side too: exact-route /logs endpoints ignore
-    // the query and return the whole ring.
+    // Filter client-side too: the sweep endpoints of older builds
+    // ignore the query and return the whole ring.
     std::deque<std::string> rows;
     std::size_t pos = 0;
     while (pos < body->size()) {
