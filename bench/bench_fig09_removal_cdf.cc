@@ -38,15 +38,15 @@ main()
         cfg.migrationPeriod = 2 * migPaperMs(5.0);
         SimSystem sys(cfg, app);
         sys.run();
-        const Histogram &hist =
-            sys.vsnoopPolicy()->removalPeriodTicks;
+        const std::vector<Tick> &periods =
+            sys.vsnoopPolicy()->removalPeriods;
 
-        table.row().cell(paper_app.name).cell(hist.count());
+        table.row().cell(paper_app.name).cell(periods.size());
         for (double q : quantiles) {
-            if (hist.count() == 0) {
+            if (periods.empty()) {
                 table.cell("-");
             } else {
-                table.cell(hist.quantile(q) /
+                table.cell(static_cast<double>(nearestRank(periods, q)) /
                                static_cast<double>(kMigTicksPerPaperMs),
                            2);
             }

@@ -20,8 +20,8 @@ struct Point
 {
     double snoopsPerTxn = 0.0;
     std::uint64_t removals = 0;
-    double removalP50 = 0.0;
-    double removalP90 = 0.0;
+    Tick removalP50 = 0;
+    Tick removalP90 = 0;
 };
 
 Point
@@ -41,10 +41,11 @@ run(RelocationMode mode, Tick period, const AppProfile &app)
     Point p;
     p.snoopsPerTxn = static_cast<double>(r.snoopLookups) /
                      static_cast<double>(r.transactions);
-    const Histogram &hist = system.vsnoopPolicy()->removalPeriodTicks;
-    p.removals = hist.count();
-    p.removalP50 = hist.quantile(0.5);
-    p.removalP90 = hist.quantile(0.9);
+    const std::vector<Tick> &periods =
+        system.vsnoopPolicy()->removalPeriods;
+    p.removals = periods.size();
+    p.removalP50 = nearestRank(periods, 0.5);
+    p.removalP90 = nearestRank(periods, 0.9);
     return p;
 }
 
@@ -78,8 +79,8 @@ main(int argc, char **argv)
             .cell(counter.snoopsPerTxn, 2)
             .cell(threshold.snoopsPerTxn, 2)
             .cell(counter.removals)
-            .cell(counter.removalP50, 0)
-            .cell(counter.removalP90, 0);
+            .cell(counter.removalP50)
+            .cell(counter.removalP90);
     }
     table.print();
 

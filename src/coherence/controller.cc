@@ -699,12 +699,9 @@ CoherenceController::tryComplete(Mshr &mshr)
     system_.critpath().recordTransaction(mshr.seg, latency, mshr.reason,
                                          mshr.access.vm);
     system_.stats.missLatency.sample(static_cast<double>(latency));
-    system_.stats.latency.sample(latency);
-    system_.stats.latencyByReason[static_cast<std::size_t>(mshr.reason)]
-        .sample(latency);
     bool retried = mshr.persistent || mshr.attempt > 1;
-    (retried ? system_.stats.latencyRetried
-             : system_.stats.latencyFirstTry).sample(latency);
+    system_.stats.latency[static_cast<std::size_t>(mshr.reason)][retried]
+        .sample(latency);
     system_.stats.dataFrom[static_cast<std::size_t>(mshr.dataSource)]
         .inc();
     if (mshr.access.pageType == PageType::RoShared) {

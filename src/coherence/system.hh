@@ -70,14 +70,14 @@ struct CoherenceStats
     Distribution missLatency;
     /** Miss latency restricted to RO-shared lines. */
     Distribution roMissLatency;
-    /** Log2-bucketed miss latency, all transactions. */
-    LatencyHistogram latency;
-    /** Same, split by the first attempt's FilterReason. */
-    LatencyHistogram latencyByReason[kNumFilterReasons];
-    /** Transactions whose first transient attempt completed. */
-    LatencyHistogram latencyFirstTry;
-    /** Transactions that retried or went persistent. */
-    LatencyHistogram latencyRetried;
+    /**
+     * Log2-bucketed miss latency, one cell per (first attempt's
+     * FilterReason, retried) pair; retried means the transaction
+     * needed a second transient attempt or went persistent.  Each
+     * completion samples one cell, and SimSystem::results() merges
+     * cells into the all / by-reason / first-try / retried views.
+     */
+    LatencyHistogram latency[kNumFilterReasons][2];
 };
 
 /**

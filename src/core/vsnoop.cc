@@ -342,7 +342,7 @@ VirtualSnoopPolicy::removeFromMap(VmId vm, CoreId core)
     Tick since = pendingRemovalSince_[idx];
     if (since != kMaxTick && system_ != nullptr) {
         Tick now = system_->eventQueue().now();
-        removalPeriodTicks.sample(static_cast<double>(now - since));
+        removalPeriods.push_back(now - since);
     }
     pendingRemovalSince_[idx] = kMaxTick;
 }

@@ -155,7 +155,7 @@ class VirtualSnoopPolicy : public SnoopTargetPolicy,
         memoryDirectRequests.reset();
         selectiveFlushes.reset();
         flushedLines.reset();
-        removalPeriodTicks.reset();
+        removalPeriods.clear();
     }
 
     /** @{ Statistics. */
@@ -174,12 +174,13 @@ class VirtualSnoopPolicy : public SnoopTargetPolicy,
     /** Lines evicted by selective flushes. */
     Counter flushedLines;
     /**
-     * Core-removal period after a vCPU relocation, in ticks
-     * (Figure 9).  Sampled when a formerly used core is removed
-     * from the VM's map.  Consumers convert ticks to their time
-     * scale; buckets are 500 ticks wide up to 2M ticks.
+     * Core-removal periods after a vCPU relocation, in ticks
+     * (Figure 9): one exact sample each time a formerly used core
+     * is removed from the VM's map.  A run records only a handful,
+     * so consumers take quantiles with nearestRank() and convert
+     * ticks to their own time scale.
      */
-    Histogram removalPeriodTicks{500.0, 4000};
+    std::vector<Tick> removalPeriods;
     /** @} */
 
   private:

@@ -15,12 +15,8 @@ void
 Distribution::sample(double value)
 {
     count_++;
-    sum_ += value;
-    // Welford's online update: numerically stable for samples with
-    // a large common offset, unlike sum-of-squares accumulation.
     double delta = value - mean_;
     mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
 }
@@ -29,115 +25,6 @@ void
 Distribution::reset()
 {
     *this = Distribution();
-}
-
-double
-Distribution::variance() const
-{
-    if (count_ == 0)
-        return 0.0;
-    double var = m2_ / static_cast<double>(count_);
-    return var > 0.0 ? var : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-Histogram::Histogram(double bucket_width, std::size_t bucket_count)
-    : bucketWidth_(bucket_width), buckets_(bucket_count, 0)
-{
-    vsnoop_assert(bucket_width > 0.0, "histogram bucket width must be > 0");
-    vsnoop_assert(bucket_count > 0, "histogram needs at least one bucket");
-}
-
-void
-Histogram::sample(double value)
-{
-    vsnoop_assert(value >= 0.0,
-                  "negative histogram sample ", value,
-                  " (sampled quantities are non-negative by "
-                  "construction; fix the caller's accounting)");
-    count_++;
-    auto idx = static_cast<std::size_t>(value / bucketWidth_);
-    if (idx >= buckets_.size()) {
-        overflow_++;
-    } else {
-        buckets_[idx]++;
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    count_ = 0;
-}
-
-double
-Histogram::cdfAt(double value) const
-{
-    if (count_ == 0)
-        return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        double upper = bucketWidth_ * static_cast<double>(i + 1);
-        if (upper > value)
-            break;
-        acc += buckets_[i];
-    }
-    return static_cast<double>(acc) / static_cast<double>(count_);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    vsnoop_assert(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0,1]");
-    if (count_ == 0)
-        return 0.0;
-    auto need = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    // q == 0 would otherwise satisfy "acc >= 0" at bucket 0 even
-    // when that bucket is empty; the 0th quantile is the smallest
-    // sample, i.e. the first *populated* bucket.
-    if (need == 0)
-        need = 1;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        acc += buckets_[i];
-        if (acc >= need)
-            return bucketWidth_ * static_cast<double>(i + 1);
-    }
-    // Quantile lies in the overflow bucket: the histogram only
-    // knows the value exceeds the top edge, so say so explicitly
-    // instead of returning the (finite) top edge.
-    return std::numeric_limits<double>::infinity();
-}
-
-std::vector<std::pair<double, double>>
-Histogram::cdfPoints() const
-{
-    std::vector<std::pair<double, double>> points;
-    if (count_ == 0)
-        return points;
-    std::uint64_t acc = 0;
-    bool seen = false;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        acc += buckets_[i];
-        if (buckets_[i] > 0)
-            seen = true;
-        if (seen) {
-            points.emplace_back(
-                bucketWidth_ * static_cast<double>(i + 1),
-                static_cast<double>(acc) / static_cast<double>(count_));
-        }
-    }
-    if (overflow_ > 0)
-        points.emplace_back(std::numeric_limits<double>::infinity(), 1.0);
-    return points;
 }
 
 void
@@ -155,6 +42,25 @@ StatSet::add(const std::string &name, const Distribution &dist)
                   "duplicate stat name '", name, "'");
     dists_[name] = &dist;
 }
+
+namespace
+{
+
+/**
+ * The 1-based nearest rank for quantile q of n samples: the
+ * smallest rank whose cumulative fraction reaches q, at least 1 so
+ * that q == 0 answers with the minimum.
+ */
+std::uint64_t
+rankOf(double q, std::uint64_t n)
+{
+    vsnoop_assert(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0,1]");
+    auto rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(n)));
+    return std::max<std::uint64_t>(rank, 1);
+}
+
+} // namespace
 
 void
 LatencyHistogram::sample(std::uint64_t value)
@@ -219,14 +125,9 @@ LatencyHistogram::bucketUpperEdge(std::size_t i)
 std::uint64_t
 LatencyHistogram::quantile(double q) const
 {
-    vsnoop_assert(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0,1]");
+    std::uint64_t need = rankOf(q, count_);
     if (count_ == 0)
         return 0;
-    // Smallest rank whose cumulative fraction reaches q (at least 1,
-    // so quantile(0) answers with the minimum's bucket).
-    auto need = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    need = std::max<std::uint64_t>(need, 1);
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < kNumBuckets; ++i) {
         seen += buckets_[i];
@@ -234,6 +135,17 @@ LatencyHistogram::quantile(double q) const
             return std::clamp(bucketUpperEdge(i), min(), max_);
     }
     return max_;
+}
+
+std::uint64_t
+nearestRank(std::vector<std::uint64_t> samples, double q)
+{
+    std::uint64_t rank = rankOf(q, samples.size());
+    if (samples.empty())
+        return 0;
+    auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 void

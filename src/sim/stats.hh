@@ -2,8 +2,11 @@
  * @file
  * Lightweight statistics primitives.
  *
- * Components declare Counter / Distribution / Histogram members and
- * optionally register them with a StatSet for live telemetry.  The
+ * Components declare Counter / Distribution / LatencyHistogram
+ * members and optionally register counters and distributions with
+ * a StatSet for live telemetry.  LatencyHistogram is the one
+ * histogram type; a statistic with only a handful of samples keeps
+ * them in a vector and takes quantiles with nearestRank().  The
  * classes are deliberately simple: plain accumulation, no
  * thread-safety, and cheap increments on hot paths.  Every stat is
  * owned by the components of one SimSystem; under the sweep
@@ -46,13 +49,11 @@ class Counter
 };
 
 /**
- * Mean / min / max / count over a stream of samples.
+ * Count / mean / min / max over a stream of samples.
  *
- * Second moments use Welford's online algorithm: the naive
- * sum-of-squares formula catastrophically cancels for
- * large-magnitude samples (e.g. tick timestamps late in a long
- * run), producing variances off by orders of magnitude or clamped
- * negative results.
+ * The mean is a running (Welford) update rather than sum / count;
+ * run records and the live gauges print it to the last digit, so
+ * the update expression is part of the output contract.
  */
 class Distribution
 {
@@ -61,83 +62,15 @@ class Distribution
     void reset();
 
     std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
     double mean() const { return count_ ? mean_ : 0.0; }
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
-    /** Population variance. */
-    double variance() const;
-    double stddev() const;
 
   private:
     std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    /** Welford running mean and sum of squared deviations. */
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width bucketed histogram over [0, bucketWidth * bucketCount);
- * samples beyond the top land in an overflow bucket.  Supports
- * quantile queries and cumulative-distribution dumps (used for the
- * paper's Figure 9 core-removal-period CDF).
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width Width of each bucket, > 0.
-     * @param bucket_count Number of regular buckets, > 0.
-     */
-    Histogram(double bucket_width, std::size_t bucket_count);
-
-    /**
-     * Record one sample.  Sampled quantities (ticks, counts) are
-     * non-negative by construction; a negative sample indicates an
-     * upstream accounting bug and is asserted on rather than
-     * silently clamped into bucket 0.
-     */
-    void sample(double value);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double bucketWidth() const { return bucketWidth_; }
-    std::size_t bucketCount() const { return buckets_.size(); }
-    std::uint64_t bucketHits(std::size_t i) const { return buckets_.at(i); }
-    std::uint64_t overflowHits() const { return overflow_; }
-
-    /**
-     * Fraction of samples <= value (linear interpolation inside the
-     * containing bucket is not applied; the CDF is a step function
-     * at bucket upper edges).
-     */
-    double cdfAt(double value) const;
-
-    /**
-     * Smallest bucket upper edge whose CDF reaches q in [0,1].
-     *
-     * quantile(0) returns the upper edge of the smallest populated
-     * bucket (the minimum's bucket), not the first bucket edge.
-     * When the requested quantile lies in the overflow bucket the
-     * result is +infinity, so it cannot be confused with a
-     * legitimate top-edge answer.
-     */
-    double quantile(double q) const;
-
-    /**
-     * Dump the CDF as (upper_edge, cumulative_fraction) points,
-     * skipping empty leading buckets.
-     */
-    std::vector<std::pair<double, double>> cdfPoints() const;
-
-  private:
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 /**
@@ -145,15 +78,15 @@ class Histogram
  *
  * Bucket 0 holds the value 0; bucket i >= 1 covers [2^(i-1), 2^i).
  * Values past the last bucket clamp into it (max() still reports
- * the true maximum).  Compared to the fixed-width Histogram this
- * covers the full dynamic range of transaction latencies — from a
- * one-cycle L2 hit path to a persistent-request stall thousands of
- * cycles long — with a handful of buckets and no configuration.
+ * the true maximum).  This covers the full dynamic range of
+ * transaction latencies — from a one-cycle L2 hit path to a
+ * persistent-request stall thousands of cycles long — with a
+ * handful of buckets and no configuration.
  *
- * Quantiles are deterministic: quantile(q) walks the cumulative
- * counts and returns the containing bucket's inclusive upper edge,
- * clamped into [min(), max()] so a degenerate distribution (all
- * samples equal) reports the exact value.
+ * Quantiles are deterministic: quantile(q) finds the bucket that
+ * holds the nearest-rank sample (see nearestRank()) and returns its
+ * inclusive upper edge, clamped into [min(), max()] so a degenerate
+ * distribution (all samples equal) reports the exact value.
  */
 class LatencyHistogram
 {
@@ -198,6 +131,15 @@ class LatencyHistogram
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
 };
+
+/**
+ * Exact nearest-rank quantile of a sample set: the smallest sample
+ * at rank max(1, ceil(q * n)) of the n samples in ascending order,
+ * or 0 with no samples.  q in [0,1].  Used where a statistic keeps
+ * every sample because there are only a handful (the Figure 9
+ * removal periods).
+ */
+std::uint64_t nearestRank(std::vector<std::uint64_t> samples, double q);
 
 class MetricsRegistry;
 

@@ -242,6 +242,18 @@ validateConfig(const SystemConfig &c, std::string *error)
          c.l2.l1SizeBytes % l1_granule != 0))
         return fail("l1_bytes must be 0 or a positive multiple of " +
                     std::to_string(l1_granule));
+    // The caches' line arrays are allocated and initialised up front,
+    // about one host byte per simulated byte, so bound the machine's
+    // total: 64x the paper's 4 MiB.  Each size is checked alone first
+    // so the product cannot wrap.
+    constexpr std::uint64_t kMaxCacheBytes = std::uint64_t{256} << 20;
+    if (c.l2.sizeBytes > kMaxCacheBytes ||
+        c.l2.l1SizeBytes > kMaxCacheBytes ||
+        (c.l2.sizeBytes + c.l2.l1SizeBytes) * cores > kMaxCacheBytes)
+        return fail("(l2_bytes + l1_bytes) x " + std::to_string(cores) +
+                    " cores exceeds the " +
+                    std::to_string(kMaxCacheBytes) +
+                    "-byte (256 MiB) simulated cache limit");
     if (c.regionBytes < kLineBytes)
         return fail("region_bytes must be at least " +
                     std::to_string(kLineBytes));

@@ -23,7 +23,6 @@ VcpuDriver::resetStats()
     for (auto &counter : missesByCategory)
         counter.reset();
     totalMisses.reset();
-    latencySum.reset();
     workload_.resetStats();
 }
 
@@ -51,11 +50,10 @@ VcpuDriver::process()
         ProfileScope scope(profiler_, HostProfiler::Phase::Generate);
         return workload_.next();
     }();
-    Tick issue_time = eq_.now();
     auto category = step.category;
     Tick gap = step.gap;
     system_.access(core, step.access,
-                   [this, issue_time, category, gap](
+                   [this, category, gap](
                        Tick done_at, DataSource source, bool was_miss) {
                        (void)source;
                        if (was_miss) {
@@ -64,7 +62,6 @@ VcpuDriver::process()
                                                 category)]
                                .inc();
                        }
-                       latencySum.inc(done_at - issue_time);
                        issued_++;
                        if (warmup_ > 0 && issued_ == warmup_) {
                            // Own warmup boundary: this driver's

@@ -75,8 +75,6 @@ class VcpuDriver : public Event
     /** L2 misses by generated access category (Fig 1, Table V). */
     Counter missesByCategory[kNumAccessCategories];
     Counter totalMisses;
-    /** Sum of per-access completion latencies (ticks). */
-    Counter latencySum;
     /** @} */
 
   private:

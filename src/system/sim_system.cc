@@ -450,11 +450,14 @@ SimSystem::results() const
     r.trafficByteHops = network_->stats().totalByteHops();
     r.meanMissLatency = cs.missLatency.mean();
     r.meanRoMissLatency = cs.roMissLatency.mean();
-    r.latency = cs.latency;
-    for (std::size_t i = 0; i < kNumFilterReasons; ++i)
-        r.latencyByReason[i] = cs.latencyByReason[i];
-    r.latencyFirstTry = cs.latencyFirstTry;
-    r.latencyRetried = cs.latencyRetried;
+    for (std::size_t i = 0; i < kNumFilterReasons; ++i) {
+        const auto &cell = cs.latency[i];
+        r.latencyByReason[i].merge(cell[0]);
+        r.latencyByReason[i].merge(cell[1]);
+        r.latencyFirstTry.merge(cell[0]);
+        r.latencyRetried.merge(cell[1]);
+        r.latency.merge(r.latencyByReason[i]);
+    }
     r.links = network_->linkStats();
     for (std::size_t i = 0; i < kNumDataSources; ++i) {
         r.dataFrom[i] = cs.dataFrom[i].value();

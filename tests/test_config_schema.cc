@@ -3,15 +3,19 @@
  * Knob-table tests (system/config_schema.hh): byte goldens for the
  * cache key, the wire body and the run-record config echo, per-row
  * wire round trips, wire rejections per value type, CLI/wire parity,
- * and a check that each CLI's --help lists exactly its table flags.
+ * a check that each CLI's --help lists exactly its table flags, and
+ * seeded mutations of wire bodies that the parser must survive.
  *
  * The goldens were captured from the hand-written serializers the
  * table replaced; they pin the behavioural contract (existing
  * ResultStores keep hitting, archived records keep their bytes).
  */
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -19,11 +23,14 @@
 #include <type_traits>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "service/sweep_wire.hh"
 #include "sim/cli.hh"
 #include "sim/json.hh"
+#include "sim/rng.hh"
 #include "sim/version.hh"
 #include "system/config_schema.hh"
 #include "system/run_result.hh"
@@ -443,6 +450,46 @@ TEST(ConfigSchema, WireRejectsUnknownKeysWrongTypesAndSmallValues)
               "mesh 9x8 has 72 cores; at most 64 are supported");
 }
 
+TEST(ConfigSchema, WireCapsTheSimulatedCacheCapacity)
+{
+    // (l2_bytes + l1_bytes) x cores may reach 256 MiB, not one
+    // granule more: every simulated cache byte costs a host byte.
+    const std::string limit =
+        "(l2_bytes + l1_bytes) x 16 cores exceeds the 268435456-byte "
+        "(256 MiB) simulated cache limit";
+    struct Row
+    {
+        const char *config;
+        bool accepted;
+    };
+    const Row rows[] = {
+        // 16 MiB x 16 cores with the L1s off.
+        {R"({"l2_bytes":16777216})", true},
+        {R"({"l2_bytes":16777728})", false},
+        // The default 256 KiB L2 plus a 15.75 MiB L1.
+        {R"({"l1_bytes":16515072})", true},
+        {R"({"l1_bytes":16515328})", false},
+        // Far past it, up to the largest integer the wire carries.
+        {R"({"l2_bytes":4294967296})", false},
+        {R"({"l2_bytes":9007199254740480})", false},
+        {R"({"l1_bytes":9007199254740736})", false},
+    };
+    for (const Row &row : rows) {
+        std::string error;
+        bool ok = parseBody(std::string(R"({"apps":["ferret"],"config":)") +
+                                row.config + "}",
+                            &error)
+                      .has_value();
+        EXPECT_EQ(ok, row.accepted) << row.config;
+        EXPECT_EQ(error, row.accepted ? "" : limit) << row.config;
+    }
+    // The cap scales with the core count: 64 cores at 4 MiB each.
+    EXPECT_EQ(configError(R"({"mesh_width":8,"mesh_height":8,)"
+                          R"("l2_bytes":4194816})"),
+              "(l2_bytes + l1_bytes) x 64 cores exceeds the 268435456-byte "
+              "(256 MiB) simulated cache limit");
+}
+
 TEST(ConfigSchema, WireRejectsARunCountThatWraps)
 {
     // Five axes of 8192 duplicates are 2^65 runs, which wraps a
@@ -582,6 +629,132 @@ TEST(EnumTokens, RoundTripAndRejectUnknownTokens)
     EXPECT_EQ(untouched, RoPolicy::IntraVm);
     EXPECT_EQ(enumTokenList<RelocationMode>(),
               "base counter counter-threshold counter-flush");
+}
+
+/** Numbers a mutation writes over a value or inserts. */
+const char *const kFuzzNumbers[] = {
+    "0", "-0", "-1", "1.5", "1e308", "1e999", "-1e-999", "0.1e1", "1E+2",
+    "255", "4294967295", "4294967296", "9007199254740993",
+    "18446744073709551615", "18446744073709551616",
+    "123456789012345678901234567890"};
+
+/** Apply one to four seeded byte-level mutations to @p body. */
+std::string
+mutateBody(std::string body, const std::vector<std::string> &corpus,
+           Rng &rng)
+{
+    auto below = [&](std::size_t n) -> std::size_t {
+        return rng.below(static_cast<std::uint32_t>(n));
+    };
+    for (std::size_t ops = 1 + below(4); ops > 0; --ops) {
+        switch (below(4)) {
+          case 0: // Flip one bit.
+            if (!body.empty())
+                body[below(body.size())] ^= static_cast<char>(1 << below(8));
+            break;
+          case 1: // Truncate.
+            body.resize(below(body.size() + 1));
+            break;
+          case 2: { // Splice a span of a corpus body over a span of this.
+            const std::string &donor = corpus[below(corpus.size())];
+            std::size_t from = below(donor.size());
+            std::size_t at = below(body.size() + 1);
+            body.replace(at, below(body.size() - at + 1), donor, from,
+                         1 + below(donor.size() - from));
+            break;
+          }
+          default: { // Write a number over the next one, or insert it.
+            const char *number =
+                kFuzzNumbers[below(std::size(kFuzzNumbers))];
+            std::size_t at = below(body.size() + 1);
+            std::size_t digit = body.find_first_of("0123456789", at);
+            if (digit == std::string::npos) {
+                body.insert(at, number);
+            } else {
+                std::size_t end =
+                    body.find_first_not_of("0123456789.eE+-", digit);
+                body.replace(digit, end - digit, number);
+            }
+            break;
+          }
+        }
+    }
+    return body;
+}
+
+/** "seed S iteration I" of the input in flight, for the abort report. */
+char gFuzzInput[64];
+
+extern "C" void
+reportFuzzCrash(int sig)
+{
+    // Only async-signal-safe calls: the text was formatted before
+    // the input ran.
+    const char prefix[] = "\nwire fuzz aborted on ";
+    ssize_t n = ::write(2, prefix, sizeof prefix - 1);
+    n = ::write(2, gFuzzInput, std::strlen(gFuzzInput));
+    (void)n;
+    std::signal(sig, SIG_DFL);
+    std::raise(sig);
+}
+
+TEST(WireFuzz, SeededMutationsNeverCrashTheParser)
+{
+    // Hostile wire bytes: mutations of valid submissions must be
+    // rejected with a message or accepted as a usable matrix, never
+    // abort.  Accepted matrices of up to 64 runs are also expanded
+    // and keyed, as the service does before it queues a job.
+    SweepMatrix def;
+    def.apps = {"ferret"};
+    const std::vector<std::string> corpus = {
+        writeSweepRequestJson(def),
+        writeSweepRequestJson(everyAxisSet(), "golden"),
+        R"({"a":[1,-2.5e3,[true,false,null,[{"b":"\u00e9\n\"x"}]]],)"
+        R"("c":{"d":{},"e":[],"f":0.000001}})",
+    };
+    constexpr std::uint64_t kSeed = 0x5eed;
+    constexpr std::uint64_t kIterations = 20000;
+    // A vsnoop_panic aborts; name the input first.  (Sanitizer
+    // reports and segfaults keep their own handlers.)
+    struct AbortReport
+    {
+        void (*previous)(int) = std::signal(SIGABRT, reportFuzzCrash);
+        ~AbortReport() { std::signal(SIGABRT, previous); }
+    } abort_report;
+    std::uint64_t parsed = 0;
+    std::uint64_t accepted = 0;
+    for (std::uint64_t i = 0; i < kIterations; ++i) {
+        std::snprintf(gFuzzInput, sizeof gFuzzInput,
+                      "seed %llu iteration %llu\n",
+                      static_cast<unsigned long long>(kSeed),
+                      static_cast<unsigned long long>(i));
+        Rng rng(kSeed, i);
+        const std::string &seed_body =
+            corpus[rng.below(static_cast<std::uint32_t>(corpus.size()))];
+        std::string body = mutateBody(seed_body, corpus, rng);
+        std::string error;
+        std::optional<JsonValue> doc = parseJson(body, &error);
+        if (!doc) {
+            ASSERT_FALSE(error.empty()) << gFuzzInput << body;
+            continue;
+        }
+        parsed++;
+        SweepRequest req;
+        if (!parseSweepRequest(*doc, &req, &error)) {
+            ASSERT_FALSE(error.empty()) << gFuzzInput << body;
+            continue;
+        }
+        accepted++;
+        if (req.matrix.runCount() > 64)
+            continue;
+        for (const SweepPoint &point : req.matrix.expand())
+            ASSERT_FALSE(
+                runCacheKey(req.matrix.configFor(point), point.app).empty())
+                << gFuzzInput << body;
+    }
+    // The mutations reach past the JSON grammar into the schema.
+    EXPECT_GT(parsed, kIterations / 10);
+    EXPECT_GT(accepted, kIterations / 100);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/trace.hh"
 #include "vsnoop_harness.hh"
 
 namespace vsnoop::test
@@ -70,7 +71,10 @@ TEST(Relocation, CounterRemovesCoreWhenDataDrains)
 TEST(Relocation, RemovalPeriodIsSampledForFigure9)
 {
     VsnoopHarness h;
+    TraceSink trace(1 << 16);
+    h.system->setTrace(&trace);
     fillLines(h, 0, 0, 0x100000, 4);
+    Tick swapped = h.eq.now();
     h.mapping.swap(0, 8);
     std::uint64_t set_stride = 64 * 64;
     for (int way = 0; way < 4; ++way) {
@@ -82,7 +86,22 @@ TEST(Relocation, RemovalPeriodIsSampledForFigure9)
                      false, 2);
         }
     }
-    EXPECT_EQ(h.policy.removalPeriodTicks.count(), 1u);
+    // The trace stamps the tick at which core 0 left VM0's map.
+    ASSERT_EQ(trace.dropped(), 0u);
+    Tick removed = kMaxTick;
+    trace.forEach([&](const TraceRecord &r) {
+        if (r.kind == TraceEventKind::MapRemove && r.vm == 0 &&
+            r.core == 0)
+            removed = r.tick;
+    });
+    ASSERT_NE(removed, kMaxTick);
+    ASSERT_GT(removed, swapped);
+    // The sample is the exact period, not a bucket edge.
+    ASSERT_EQ(h.policy.removalPeriods.size(), 1u);
+    EXPECT_EQ(h.policy.removalPeriods[0], removed - swapped);
+
+    h.policy.resetStats();
+    EXPECT_TRUE(h.policy.removalPeriods.empty());
 }
 
 TEST(Relocation, ReturningVcpuCancelsPendingRemoval)
@@ -93,7 +112,7 @@ TEST(Relocation, ReturningVcpuCancelsPendingRemoval)
     // VM0 returns to core 0 before the data drains.
     h.mapping.swap(0, 8);
     EXPECT_TRUE(h.policy.vcpuMap(0).contains(0));
-    EXPECT_EQ(h.policy.removalPeriodTicks.count(), 0u);
+    EXPECT_TRUE(h.policy.removalPeriods.empty());
 }
 
 TEST(Relocation, CounterThresholdRemovesEarly)

@@ -3,10 +3,12 @@
  * Unit tests for the statistics primitives.
  */
 
-#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace vsnoop::test
@@ -34,7 +36,6 @@ TEST(Distribution, MomentsAreCorrect)
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
     EXPECT_DOUBLE_EQ(d.min(), 2.0);
     EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_NEAR(d.stddev(), 2.0, 1e-9);
 }
 
 TEST(Distribution, EmptyIsZero)
@@ -44,7 +45,6 @@ TEST(Distribution, EmptyIsZero)
     EXPECT_EQ(d.mean(), 0.0);
     EXPECT_EQ(d.min(), 0.0);
     EXPECT_EQ(d.max(), 0.0);
-    EXPECT_EQ(d.stddev(), 0.0);
 }
 
 TEST(Distribution, ResetClears)
@@ -53,146 +53,42 @@ TEST(Distribution, ResetClears)
     d.sample(5.0);
     d.reset();
     EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.variance(), 0.0);
+    EXPECT_EQ(d.mean(), 0.0);
     d.sample(1.0);
     EXPECT_DOUBLE_EQ(d.mean(), 1.0);
     EXPECT_DOUBLE_EQ(d.min(), 1.0);
     EXPECT_DOUBLE_EQ(d.max(), 1.0);
 }
 
-TEST(Distribution, VarianceSurvivesLargeOffset)
+TEST(Distribution, MeanSurvivesLargeOffset)
 {
-    // The sum-of-squares formula catastrophically cancels here:
-    // sumSq ~ 1e24 while the true variance is 2/3, far below the
-    // resolution of doubles near 1e24.  Welford's update keeps
-    // full precision.  Samples like these are exactly what a
-    // latency distribution sees late in a long run, when tick
-    // timestamps are large.
+    // Samples with a large common offset, like tick timestamps late
+    // in a long run: the running mean keeps full precision.
     Distribution d;
     const double offset = 1e12;
     for (double v : {offset + 1.0, offset + 2.0, offset + 3.0})
         d.sample(v);
     EXPECT_NEAR(d.mean(), offset + 2.0, 1e-3);
-    EXPECT_NEAR(d.variance(), 2.0 / 3.0, 1e-6);
-    EXPECT_NEAR(d.stddev(), std::sqrt(2.0 / 3.0), 1e-6);
     EXPECT_DOUBLE_EQ(d.min(), offset + 1.0);
     EXPECT_DOUBLE_EQ(d.max(), offset + 3.0);
 }
 
-TEST(Distribution, VarianceMatchesTwoPassOnManySamples)
+TEST(Distribution, MeanIsTheRunningUpdate)
 {
+    // The mean is the running update mean += (v - mean) / n, not
+    // sum / n; run records print it to the last digit.  These
+    // samples tell the two apart in the last bits.
     Distribution d;
+    double running = 0.0;
     double sum = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-        double v = 5e9 + static_cast<double>(i % 7);
+    for (int i = 1; i <= 1000; ++i) {
+        double v = 100.0 + static_cast<double>((i * 37) % 101);
         d.sample(v);
+        running += (v - running) / static_cast<double>(i);
         sum += v;
     }
-    double mean = sum / 1000.0;
-    double m2 = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-        double v = 5e9 + static_cast<double>(i % 7);
-        m2 += (v - mean) * (v - mean);
-    }
-    EXPECT_NEAR(d.variance(), m2 / 1000.0, 1e-6);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(1.0, 10);
-    h.sample(0.5);
-    h.sample(1.5);
-    h.sample(1.6);
-    h.sample(25.0); // overflow
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucketHits(0), 1u);
-    EXPECT_EQ(h.bucketHits(1), 2u);
-    EXPECT_EQ(h.overflowHits(), 1u);
-}
-
-TEST(Histogram, NegativeSamplesAreAnAccountingBug)
-{
-    // Sampled quantities (ticks, counts) are non-negative by
-    // construction; silently clamping a negative sample into
-    // bucket 0 would hide the upstream error.
-    Histogram h(1.0, 4);
-    EXPECT_DEATH(h.sample(-3.0), "negative histogram sample");
-}
-
-TEST(Histogram, CdfIsMonotone)
-{
-    Histogram h(1.0, 10);
-    for (double v : {0.5, 1.5, 2.5, 3.5, 8.5})
-        h.sample(v);
-    double prev = 0.0;
-    for (double x = 1.0; x <= 10.0; x += 1.0) {
-        double c = h.cdfAt(x);
-        EXPECT_GE(c, prev);
-        prev = c;
-    }
-    EXPECT_DOUBLE_EQ(h.cdfAt(10.0), 1.0);
-    EXPECT_DOUBLE_EQ(h.cdfAt(2.0), 0.4);
-}
-
-TEST(Histogram, QuantileFindsBucketEdge)
-{
-    Histogram h(2.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.sample(static_cast<double>(i)); // buckets 0..4
-    EXPECT_DOUBLE_EQ(h.quantile(0.2), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileZeroIsSmallestPopulatedEdge)
-{
-    // quantile(0) used to satisfy "acc >= ceil(0) = 0" at bucket 0
-    // even when that bucket was empty, reporting the first bucket
-    // edge instead of the minimum's bucket.
-    Histogram h(1.0, 10);
-    h.sample(5.5);
-    h.sample(7.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 6.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 8.0);
-}
-
-TEST(Histogram, QuantileInOverflowIsDistinguishable)
-{
-    // A quantile that lies in the overflow bucket reports
-    // +infinity; a legitimate top-edge result stays finite, so the
-    // two cases cannot be confused.
-    Histogram h(1.0, 2);
-    h.sample(1.5); // top regular bucket
-    h.sample(100.0); // overflow
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-    EXPECT_TRUE(std::isinf(h.quantile(1.0)));
-}
-
-TEST(Histogram, QuantileRejectsOutOfRange)
-{
-    Histogram h(1.0, 2);
-    h.sample(0.5);
-    EXPECT_DEATH(h.quantile(-0.1), "outside");
-    EXPECT_DEATH(h.quantile(1.5), "outside");
-}
-
-TEST(Histogram, CdfPointsSkipLeadingEmpties)
-{
-    Histogram h(1.0, 10);
-    h.sample(5.5);
-    h.sample(6.5);
-    auto points = h.cdfPoints();
-    ASSERT_FALSE(points.empty());
-    EXPECT_DOUBLE_EQ(points.front().first, 6.0);
-    EXPECT_DOUBLE_EQ(points.front().second, 0.5);
-    EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(Histogram, EmptyCdf)
-{
-    Histogram h(1.0, 4);
-    EXPECT_EQ(h.cdfAt(2.0), 0.0);
-    EXPECT_EQ(h.quantile(0.5), 0.0);
-    EXPECT_TRUE(h.cdfPoints().empty());
+    EXPECT_EQ(d.mean(), running);
+    EXPECT_NE(running, sum / 1000.0);
 }
 
 TEST(StatSet, DuplicateNamesAssert)
@@ -288,6 +184,105 @@ TEST(LatencyHistogram, OverflowBucketClampsToObservedRange)
     h.sample(std::uint64_t{1} << 45);
     EXPECT_EQ(h.bucketHits(LatencyHistogram::kNumBuckets - 1), 1u);
     EXPECT_EQ(h.quantile(0.5), std::uint64_t{1} << 45);
+}
+
+namespace
+{
+
+std::string
+jsonOf(const LatencyHistogram &h)
+{
+    JsonWriter json;
+    h.writeJson(json);
+    return json.str();
+}
+
+} // namespace
+
+TEST(LatencyHistogram, MergedCellsWriteTheJsonOfTheUnion)
+{
+    // The coherence system samples one cell per completion and
+    // builds its all / by-reason / first-try / retried views by
+    // merging cells; the views must be byte-identical to
+    // histograms that sampled the union directly.  Cell 1 stays
+    // empty: merging it must not pull min() away from the union's.
+    const std::vector<std::vector<std::uint64_t>> cells = {
+        {5, 300, 7, 12}, {}, {40, 1u << 20, 0, 3}, {227}};
+    LatencyHistogram merged;
+    LatencyHistogram direct;
+    for (const auto &samples : cells) {
+        LatencyHistogram cell;
+        for (std::uint64_t v : samples) {
+            cell.sample(v);
+            direct.sample(v);
+        }
+        merged.merge(cell);
+    }
+    EXPECT_EQ(jsonOf(merged), jsonOf(direct));
+
+    LatencyHistogram nonzero;
+    nonzero.merge(LatencyHistogram{});
+    for (std::uint64_t v : {9u, 4u})
+        nonzero.sample(v);
+    nonzero.merge(LatencyHistogram{});
+    EXPECT_EQ(nonzero.min(), 4u);
+
+    LatencyHistogram empty;
+    empty.merge(LatencyHistogram{});
+    EXPECT_EQ(empty.min(), 0u);
+    EXPECT_EQ(jsonOf(empty), jsonOf(LatencyHistogram{}));
+}
+
+TEST(NearestRank, Table)
+{
+    // Rank max(1, ceil(q * n)) of the sorted samples; the input
+    // order does not matter.
+    const std::vector<std::uint64_t> odd = {70, 10, 50, 30, 90};
+    const std::vector<std::uint64_t> ties = {8, 3, 8, 8, 1, 3};
+    struct Row
+    {
+        const std::vector<std::uint64_t> *samples;
+        double q;
+        std::uint64_t expect;
+    };
+    const std::vector<std::uint64_t> none;
+    const std::vector<std::uint64_t> one = {42};
+    const Row rows[] = {
+        {&odd, 0.0, 10},  {&odd, 0.2, 10},  {&odd, 0.21, 30},
+        {&odd, 0.5, 50},  {&odd, 0.9, 90},  {&odd, 1.0, 90},
+        {&ties, 0.0, 1},  {&ties, 0.2, 3},  {&ties, 0.5, 3},
+        {&ties, 0.51, 8}, {&ties, 1.0, 8},  {&one, 0.0, 42},
+        {&one, 0.5, 42},  {&one, 1.0, 42},  {&none, 0.0, 0},
+        {&none, 0.5, 0},  {&none, 1.0, 0},
+    };
+    for (const Row &row : rows) {
+        EXPECT_EQ(nearestRank(*row.samples, row.q), row.expect)
+            << "q " << row.q << " over " << row.samples->size()
+            << " samples";
+    }
+}
+
+TEST(NearestRank, AgreesWithTheHistogramRankRule)
+{
+    // LatencyHistogram::quantile() picks the same rank and answers
+    // with that sample's bucket edge, so with one sample per bucket
+    // its answer lands in the exact sample's bucket at every q.
+    std::vector<std::uint64_t> samples = {1, 2, 4, 8, 16, 32, 64, 128};
+    LatencyHistogram h;
+    for (std::uint64_t v : samples)
+        h.sample(v);
+    for (double q : {0.0, 0.125, 0.3, 0.5, 0.77, 0.99, 1.0}) {
+        std::uint64_t exact = nearestRank(samples, q);
+        EXPECT_EQ(LatencyHistogram::bucketFor(h.quantile(q)),
+                  LatencyHistogram::bucketFor(exact))
+            << "q " << q;
+    }
+}
+
+TEST(NearestRank, RejectsOutOfRange)
+{
+    EXPECT_DEATH(nearestRank({1, 2}, -0.1), "outside");
+    EXPECT_DEATH(nearestRank({1, 2}, 1.5), "outside");
 }
 
 } // namespace vsnoop::test
