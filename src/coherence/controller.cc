@@ -212,7 +212,7 @@ CoherenceController::access(const MemAccess &access,
     // The requester's own (missing) tag lookup counts as one snoop
     // lookup, so that a broadcast over n cores costs n lookups
     // total, matching the paper's normalization.
-    system_.chargeLookup(line_addr, access.vm, kInvalidCore);
+    system_.chargeLookup(line_addr, access.vm);
 
     std::uint32_t slot;
     if (!freeMshrs_.empty()) {
@@ -394,52 +394,6 @@ CoherenceController::persistentGranted(HostAddr line)
     mshr.waitingGrant = false;
     mshr.persistent = true;
     issueAttempt(mshr);
-}
-
-void
-CoherenceController::receiveSnoop(const SnoopMsg &msg, Tick arrive)
-{
-    EventQueue &eq = system_.eventQueue();
-    if (msg.persistent || cache_.find(msg.line) != nullptr) {
-        eq.scheduleFn(arrive, [this, msg] {
-            snoopsReceived.inc();
-            handleSnoop(msg);
-        });
-        return;
-    }
-    snoopsReceived.inc();
-    if (deferred_.size() >= pruneAt_)
-        pruneDeferred();
-    deferred_.push_back({msg, arrive, eq.reserveSeq()});
-}
-
-void
-CoherenceController::pruneDeferred()
-{
-    const EventQueue &eq = system_.eventQueue();
-    std::erase_if(deferred_, [&eq](const DeferredSnoop &d) {
-        return !eq.afterFrontier(d.arrive, d.seq);
-    });
-    pruneAt_ = std::max(kMinPruneAt, 2 * deferred_.size());
-}
-
-void
-CoherenceController::releaseDeferred(HostAddr line)
-{
-    EventQueue &eq = system_.eventQueue();
-    for (std::size_t i = 0; i < deferred_.size();) {
-        DeferredSnoop &d = deferred_[i];
-        if (d.msg.line != line) {
-            ++i;
-            continue;
-        }
-        if (eq.afterFrontier(d.arrive, d.seq)) {
-            eq.scheduleFnAt(d.arrive, d.seq,
-                            [this, msg = d.msg] { handleSnoop(msg); });
-        }
-        d = deferred_.back();
-        deferred_.pop_back();
-    }
 }
 
 void
@@ -745,7 +699,7 @@ CoherenceController::installLine(Mshr &mshr)
         line.providerVms |= 1U << mshr.access.vm;
     }
     fillL1(mshr.access.addr, mshr.access.vm, mshr.access.pageType);
-    releaseDeferred(mshr.access.addr);
+    system_.releaseSnoops(core_, mshr.access.addr);
 }
 
 void

@@ -83,18 +83,10 @@ class CoherenceController
     void access(const MemAccess &access, AccessCallback callback);
 
     /**
-     * A snoop for this core has been sent and reaches it at
-     * @p arrive.  This is the one place that decides how it is
-     * delivered.  A non-persistent snoop acts only if this L2 holds
-     * the line when it arrives, and a line enters the L2 only in
-     * installLine().  So a snoop whose line is absent now is not
-     * scheduled: it is recorded with the event-queue position its
-     * delivery would take, and installLine() schedules it at exactly
-     * that position if the line arrives first.  Otherwise it expires
-     * unseen, as the miss it would have been.  Every other snoop is
-     * scheduled for delivery at @p arrive.
+     * Act on a snoop at its arrival.  CoherenceSystem::sendSnoops()
+     * schedules it, or records it and releases it from installLine().
      */
-    void receiveSnoop(const SnoopMsg &msg, Tick arrive);
+    void handleSnoop(const SnoopMsg &msg);
 
     /** Deliver a token/data response (at arrival). */
     void handleResponse(const ResponseMsg &msg);
@@ -146,7 +138,7 @@ class CoherenceController
     /** @{ Per-controller statistics. */
     /**
      * Remote snoop requests sent to this core, each counted once: at
-     * delivery when receiveSnoop() scheduled it, at send when it was
+     * delivery when sendSnoops() scheduled it, at send when it was
      * recorded (it then misses or is delivered uncounted).
      */
     Counter snoopsReceived;
@@ -226,21 +218,8 @@ class CoherenceController
     /** Evict @p victim, returning its tokens (and data) to memory. */
     void evict(CacheLine &victim);
 
-    /** Act on a snoop at its arrival. */
-    void handleSnoop(const SnoopMsg &msg);
-
     /** Respond to a snoop from the cached line @p line. */
     void respondFromLine(const SnoopMsg &msg, CacheLine &line);
-
-    /**
-     * The line @p line was just installed: schedule each recorded
-     * snoop for it at its reserved position if that is still ahead,
-     * and drop the rest (they arrived to an absent line).
-     */
-    void releaseDeferred(HostAddr line);
-
-    /** Drop recorded snoops whose reserved position has passed. */
-    void pruneDeferred();
 
     /**
      * Remove an L2 line, preserving L1 inclusion (the L1 copy, if
@@ -268,23 +247,6 @@ class CoherenceController
     std::vector<Mshr> mshrPool_;
     /** Pool slots not in use, reused last-freed first. */
     std::vector<std::uint32_t> freeMshrs_;
-
-    /** A snoop receiveSnoop() recorded instead of scheduling. */
-    struct DeferredSnoop
-    {
-        SnoopMsg msg;
-        Tick arrive;
-        /** EventQueue position reserved for its delivery. */
-        std::uint64_t seq;
-    };
-    /** Recorded snoops, unordered; expired ones linger until pruned. */
-    std::vector<DeferredSnoop> deferred_;
-    static constexpr std::size_t kMinPruneAt = 16;
-    /**
-     * deferred_ size at which the next prune runs: twice what the
-     * last prune kept, so pruning costs O(1) per recorded snoop.
-     */
-    std::size_t pruneAt_ = kMinPruneAt;
 };
 
 } // namespace vsnoop

@@ -1,6 +1,7 @@
 #include "coherence/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 #include <vector>
 
@@ -48,6 +49,10 @@ CoherenceSystem::CoherenceSystem(EventQueue &eq, Network &network,
     memory_.reserveLedger(l2_lines);
     inflight_.reserve(8 * config_.numCores);
     persistent_.reserve(2 * config_.numCores);
+    // An in-order core has one miss outstanding, and its flights
+    // retire within a snoop's flight time, so the ring rarely grows.
+    flights_.resize(std::bit_ceil(2 * std::size_t{config_.numCores}));
+    flightArrive_.resize(flights_.size() * config_.numCores);
 }
 
 CoherenceController &
@@ -82,16 +87,12 @@ CoherenceSystem::netSend(NodeId src, NodeId dst, std::uint32_t bytes,
 }
 
 void
-CoherenceSystem::chargeLookup(HostAddr line, VmId requester, CoreId target)
+CoherenceSystem::chargeLookup(HostAddr line, VmId requester)
 {
-    bool miss = target == kInvalidCore;
-    VmId holder = requester;
-    if (!miss)
-        holder = coreVm_ != nullptr ? coreVm_[target] : kInvalidVm;
     stats.snoopLookups.inc();
-    critpath_.lookup(requester, holder);
+    critpath_.lookup(requester, requester);
     if (pagemon_ != nullptr)
-        pagemon_->lookup(line, requester, holder, miss);
+        pagemon_->lookup(line, requester, requester, /*miss=*/true);
 }
 
 void
@@ -133,16 +134,66 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
                             const SnoopTargets &targets)
 {
     Tick now = eq_.now();
-    targets.cores.forEach([&](CoreId target) {
-        vsnoop_assert(target != from, "policy must exclude the requester");
-        Tick arrive = netSend(from, target, config_.controlBytes,
-                              MsgClass::Request, now);
-        stats.snoopsDelivered.inc();
+    std::uint64_t cores = targets.cores.mask();
+    vsnoop_assert((cores >> from & 1) == 0 &&
+                      std::bit_width(cores) <= config_.numCores,
+                  "policy must exclude the requester and name only cores");
+    if (cores != 0) {
+        // The arrivals go straight into the ring's next free slot,
+        // which becomes a flight only if some snoop is recorded.
+        retireFlights();
+        if (flightCount_ == flights_.size())
+            growFlights();
+        std::size_t slot =
+            (flightHead_ + flightCount_) & (flights_.size() - 1);
+        Tick *arrive = flightArrivals(slot);
+        Tick wait = 0;
+        network_.multicast(from, cores, config_.controlBytes,
+                           MsgClass::Request, now, arrive, &wait);
+        critpath_.nocWait(MsgClass::Request, wait);
+        auto count = static_cast<std::uint64_t>(std::popcount(cores));
+        stats.snoopsDelivered.inc(count);
         // Charged at send, not at delivery, so every lookup total
         // matches the counter at any instant, warmup reset included.
-        chargeLookup(msg.line, msg.requesterVm, target);
-        controller(target).receiveSnoop(msg, arrive);
-    });
+        stats.snoopLookups.inc(count);
+        critpath_.lookups(msg.requesterVm, targets.cores, coreVm_);
+        if (pagemon_ != nullptr) {
+            targets.cores.forEach([&](CoreId target) {
+                VmId holder = coreVm_ != nullptr ? coreVm_[target]
+                                                 : kInvalidVm;
+                pagemon_->lookup(msg.line, msg.requesterVm, holder,
+                                 /*miss=*/false);
+            });
+        }
+
+        SnoopFlight &flight = flights_[slot];
+        flight.pending = 0;
+        flight.lastArrive = 0;
+        std::size_t rank = 0;
+        targets.cores.forEach([&](CoreId target) {
+            CoherenceController *ctrl = controllers_[target].get();
+            Tick at = arrive[rank];
+            if (msg.persistent || ctrl->cache().find(msg.line) != nullptr) {
+                eq_.scheduleFn(at, [ctrl, msg] {
+                    ctrl->snoopsReceived.inc();
+                    ctrl->handleSnoop(msg);
+                });
+            } else {
+                std::uint64_t seq = eq_.reserveSeq();
+                ctrl->snoopsReceived.inc();
+                if (flight.pending == 0)
+                    flight.firstSeq = seq - rank;
+                flight.pending |= std::uint64_t{1} << target;
+                flight.lastArrive = std::max(flight.lastArrive, at);
+            }
+            ++rank;
+        });
+        if (flight.pending != 0) {
+            flight.msg = msg;
+            flight.targets = cores;
+            ++flightCount_;
+        }
+    }
     if (targets.memory) {
         NodeId mc = memNodeFor(msg.line);
         Tick arrive = netSend(from, mc, config_.controlBytes,
@@ -150,6 +201,61 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
         stats.memorySnoops.inc();
         eq_.scheduleFn(arrive, [this, msg] { handleMemorySnoop(msg); });
     }
+}
+
+void
+CoherenceSystem::releaseSnoops(CoreId core, HostAddr line)
+{
+    std::uint64_t bit = std::uint64_t{1} << core;
+    std::size_t mask = flights_.size() - 1;
+    for (std::size_t i = 0; i < flightCount_; ++i) {
+        std::size_t slot = (flightHead_ + i) & mask;
+        SnoopFlight &flight = flights_[slot];
+        if ((flight.pending & bit) == 0 || flight.msg.line != line)
+            continue;
+        flight.pending &= ~bit;
+        auto rank = static_cast<std::size_t>(
+            std::popcount(flight.targets & (bit - 1)));
+        Tick at = flightArrivals(slot)[rank];
+        std::uint64_t seq = flight.firstSeq + rank;
+        if (eq_.afterFrontier(at, seq)) {
+            CoherenceController *ctrl = controllers_[core].get();
+            eq_.scheduleFnAt(at, seq, [ctrl, msg = flight.msg] {
+                ctrl->handleSnoop(msg);
+            });
+        }
+    }
+}
+
+void
+CoherenceSystem::retireFlights()
+{
+    Tick now = eq_.now();
+    while (flightCount_ > 0) {
+        const SnoopFlight &front = flights_[flightHead_];
+        if (front.pending != 0 && front.lastArrive >= now)
+            break;
+        flightHead_ = (flightHead_ + 1) & (flights_.size() - 1);
+        --flightCount_;
+    }
+}
+
+void
+CoherenceSystem::growFlights()
+{
+    std::size_t slots = flights_.size();
+    std::size_t stride = config_.numCores;
+    std::vector<SnoopFlight> flights(2 * slots);
+    std::vector<Tick> arrive(2 * slots * stride);
+    for (std::size_t i = 0; i < flightCount_; ++i) {
+        std::size_t from = (flightHead_ + i) & (slots - 1);
+        flights[i] = flights_[from];
+        std::copy_n(flightArrive_.begin() + from * stride, stride,
+                    arrive.begin() + i * stride);
+    }
+    flights_.swap(flights);
+    flightArrive_.swap(arrive);
+    flightHead_ = 0;
 }
 
 void

@@ -4,10 +4,10 @@
  * fabric, persistent-request arbitration and invariant checking.
  *
  * The system is the single place that touches the network: it
- * converts logical sends (snoop to core X, response to requester,
+ * converts logical sends (a snoop multicast, response to requester,
  * tokens back to memory) into timed deliveries via EventQueue (a
- * snoop's target controller schedules it only if it could hit), and
- * maintains the in-flight token ledger that makes system-wide token
+ * snoop is scheduled only if its target could hit), and maintains
+ * the in-flight token ledger that makes system-wide token
  * conservation checkable at any instant — the key safety property
  * of token coherence.
  */
@@ -121,12 +121,19 @@ class CoherenceSystem
 
     /** @{ Message fabric, used by controllers. */
     /**
-     * Multicast @p msg from core @p from to @p targets.  Each send
-     * walks the mesh, reserves its links and charges its lookup
-     * through chargeLookup() here, at send time; each target core's
-     * controller then decides through receiveSnoop() whether its
-     * arrival needs an event.  A memory snoop is always scheduled
-     * and is not a lookup.
+     * Multicast @p msg from core @p from to @p targets: one
+     * Network::multicast() over the target cores, whose lookups are
+     * all charged here, at send time.  Then, in ascending core order,
+     * each target takes the next event-queue position.  A persistent
+     * snoop, or one whose target's L2 holds the line now, is scheduled
+     * there.  Any other snoop acts only if the line enters that L2
+     * before it arrives, and a line enters an L2 only in
+     * CoherenceController::installLine().  So it is recorded in the
+     * multicast's SnoopFlight instead, and releaseSnoops() schedules
+     * it at its reserved position if the line arrives first; otherwise
+     * it expires unseen, as the miss it would have been.  A memory
+     * snoop follows the cores' sends, is always scheduled and is not a
+     * lookup.
      */
     void sendSnoops(CoreId from, const SnoopMsg &msg,
                     const SnoopTargets &targets);
@@ -170,8 +177,9 @@ class CoherenceSystem
 
     /**
      * Attach (or detach, with nullptr) the page-level monitor
-     * (trace/pagemon.hh).  chargeLookup() charges its per-page
-     * counters behind a branch-on-null, next to stats.snoopLookups,
+     * (trace/pagemon.hh).  chargeLookup() and sendSnoops() charge its
+     * per-page counters behind a branch-on-null, next to
+     * stats.snoopLookups,
      * so the top-K page totals reconcile with the counter and the
      * interference-matrix total at any instant; resetStats() resets
      * it alongside both.  The monitor must outlive the system.
@@ -183,7 +191,7 @@ class CoherenceSystem
 
     /**
      * The per-core VM table (VcpuMapping::vmAtTable()) from which
-     * chargeLookup() reads the VM of each snooped core.  Without
+     * sendSnoops() reads the VM of each snooped core.  Without
      * one, every snooped core counts as idle (the host column).
      * The table must outlive the system.
      */
@@ -192,9 +200,9 @@ class CoherenceSystem
     /**
      * The critical-path accountant (trace/critpath.hh), owned and
      * always on.  Controllers charge per-transaction segment
-     * timelines and cache-to-cache bytes to it, netSend() charges
-     * NoC queue waits, and chargeLookup() charges the interference
-     * matrix.  resetStats() resets it alongside the protocol
+     * timelines and cache-to-cache bytes to it, the sends charge
+     * NoC queue waits, and chargeLookup() and sendSnoops() charge the
+     * interference matrix.  resetStats() resets it alongside the protocol
      * counters, so the matrix total stays equal to
      * CoherenceStats::snoopLookups.
      */
@@ -278,15 +286,57 @@ class CoherenceSystem
                  MsgClass cls, Tick now);
 
     /**
-     * Charge one snoop lookup of @p line induced by @p requester:
-     * stats.snoopLookups, the accountant's interference matrix and,
-     * when attached, the page monitor.  This is the only code that
-     * counts a lookup, so the three reconcile exactly.  @p target is
-     * the snooped core, whose VM is read once from the core->VM
-     * table; kInvalidCore is the requester's own tag check on a
-     * miss, which runs on a core of the requesting VM.
+     * Charge the requester's own tag check of @p line on a miss, which
+     * runs on a core of the requesting VM: stats.snoopLookups, the
+     * accountant's interference matrix and, when attached, the page
+     * monitor.  sendSnoops() charges a multicast's remote lookups to
+     * the same three, and nothing else counts a lookup, so the three
+     * reconcile exactly.
      */
-    void chargeLookup(HostAddr line, VmId requester, CoreId target);
+    void chargeLookup(HostAddr line, VmId requester);
+
+    /**
+     * The line @p line was just installed in @p core's L2: clear
+     * @p core from every flight of that line that still has its snoop
+     * pending, and schedule the snoop at its reserved position if that
+     * is still ahead of the dispatch frontier.
+     */
+    void releaseSnoops(CoreId core, HostAddr line);
+
+    /**
+     * The snoops of one multicast whose targets lacked the line when
+     * it was sent.  Every target took one event-queue position in
+     * ascending core order, so the rank-r core of @p targets holds
+     * sequence number firstSeq + r; its arrival tick is slot r of the
+     * flight's row in flightArrive_.
+     */
+    struct SnoopFlight
+    {
+        SnoopMsg msg;
+        /** Every target core of the multicast. */
+        std::uint64_t targets = 0;
+        /** Targets whose snoop is recorded and not yet released. */
+        std::uint64_t pending = 0;
+        std::uint64_t firstSeq = 0;
+        /** Latest arrival among the pending targets. */
+        Tick lastArrive = 0;
+    };
+
+    /** Ring slot @p slot's arrival ticks, by rank in its targets. */
+    Tick *
+    flightArrivals(std::size_t slot)
+    {
+        return flightArrive_.data() + slot * config_.numCores;
+    }
+
+    /**
+     * Drop flights from the ring's front while they are done: nothing
+     * pending, or every arrival behind the clock.
+     */
+    void retireFlights();
+
+    /** Double the ring, keeping its flights in order from slot 0. */
+    void growFlights();
 
     /** In-flight token ledger bookkeeping. */
     void inflightAdd(HostAddr line, std::uint32_t tokens, bool owner);
@@ -313,6 +363,14 @@ class CoherenceSystem
     /** Per-line FIFO of cores waiting for persistent-mode grants. */
     FlatMap<std::vector<CoreId>> persistent_;
     std::vector<VmId> friendOf_;
+    /**
+     * FIFO ring of live flights, oldest first; its size is a power of
+     * two.  flightArrive_ holds numCores arrival ticks per slot.
+     */
+    std::vector<SnoopFlight> flights_;
+    std::vector<Tick> flightArrive_;
+    std::size_t flightHead_ = 0;
+    std::size_t flightCount_ = 0;
 };
 
 } // namespace vsnoop

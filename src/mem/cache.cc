@@ -78,9 +78,9 @@ Cache::victimFor(HostAddr line_addr)
         // Fall through to the LRU scan if randomness keeps hitting
         // pinned ways.
     }
-    // LRU: oldest lastUse via the packed mirror array; only when the
+    // LRU: oldest stamp in the packed lastUse_ array; only when the
     // winner turns out to be pinned (rare — pins cover in-flight
-    // upgrades only) fall back to the full unpinned scan.
+    // upgrades only) fall back to the oldest unpinned way.
     const std::uint64_t *uses = lastUse_.data() + base;
     std::uint32_t best = 0;
     for (std::uint32_t w = 1; w < ways_; ++w) {
@@ -89,18 +89,17 @@ Cache::victimFor(HostAddr line_addr)
     }
     if (!lines_[base + best].pinned)
         return lines_[base + best];
-    CacheLine *victim = nullptr;
+    std::uint32_t victim = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        CacheLine &cand = lines_[base + w];
-        if (cand.pinned)
+        if (lines_[base + w].pinned)
             continue;
-        if (victim == nullptr || cand.lastUse < victim->lastUse)
-            victim = &cand;
+        if (victim == ways_ || uses[w] < uses[victim])
+            victim = w;
     }
-    vsnoop_assert(victim != nullptr,
+    vsnoop_assert(victim != ways_,
                   "every way in the set is pinned; associativity too low "
                   "for the number of outstanding upgrades");
-    return *victim;
+    return lines_[base + victim];
 }
 
 CacheLine &
@@ -119,9 +118,8 @@ Cache::install(CacheLine &slot, HostAddr line_addr, VmId vm,
     slot.pageType = type;
     slot.providerVms = 0;
     slot.pinned = false;
-    slot.lastUse = ++accessSeq_;
     tags_[&slot - lines_.data()] = slot.addr.raw();
-    lastUse_[&slot - lines_.data()] = slot.lastUse;
+    lastUse_[&slot - lines_.data()] = ++accessSeq_;
     if (observer_)
         observer_->onLineInserted(vm, type);
     return slot;

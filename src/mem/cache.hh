@@ -35,37 +35,40 @@ namespace vsnoop
  * Token-coherence invariant: a line is valid iff it holds at least
  * one token.  The owner token implies responsibility for providing
  * data and for writing dirty data back on eviction.
+ *
+ * Fields are ordered by size so a line packs into 24 bytes; its LRU
+ * stamp lives in the cache's packed lastUse_ array.
  */
 struct CacheLine
 {
     /** Line-aligned host-physical address (the tag). */
     HostAddr addr{0};
-    /** True when the entry holds a line. */
-    bool valid = false;
     /** Tokens held; valid implies tokens >= 1. */
     std::uint32_t tokens = 0;
-    /** Holds the owner token. */
-    bool owner = false;
-    /** Data differs from memory (meaningful only with owner). */
-    bool dirty = false;
-    /** VM that allocated the line (kInvalidVm for hypervisor). */
-    VmId vm = kInvalidVm;
-    /** Page sharing type at allocation time. */
-    PageType pageType = PageType::VmPrivate;
     /**
      * For RO-shared lines: bitmask of VM ids for which this copy is
      * the designated per-VM provider (Section VI-B).  Bit i set
      * means VM i's intra-VM read requests are answered by this copy.
      */
     std::uint32_t providerVms = 0;
-    /** LRU timestamp (monotonic access sequence number). */
-    std::uint64_t lastUse = 0;
+    /** VM that allocated the line (kInvalidVm for hypervisor). */
+    VmId vm = kInvalidVm;
+    /** Page sharing type at allocation time. */
+    PageType pageType = PageType::VmPrivate;
+    /** True when the entry holds a line. */
+    bool valid = false;
+    /** Holds the owner token. */
+    bool owner = false;
+    /** Data differs from memory (meaningful only with owner). */
+    bool dirty = false;
     /**
      * Excluded from victim selection while an in-flight upgrade
      * transaction counts this line's tokens toward its goal.
      */
     bool pinned = false;
 };
+
+static_assert(sizeof(CacheLine) == 24, "CacheLine packs into 24 bytes");
 
 /**
  * Observer informed when lines enter or leave the cache; the
@@ -131,8 +134,7 @@ class Cache
 
     /** Record a demand access for replacement purposes. */
     void touch(CacheLine &line) {
-        line.lastUse = ++accessSeq_;
-        lastUse_[&line - lines_.data()] = line.lastUse;
+        lastUse_[&line - lines_.data()] = ++accessSeq_;
     }
 
     /**
@@ -201,8 +203,8 @@ class Cache
     std::vector<CacheLine> lines_;
     /** lines_[i].addr.raw() when valid, kNoTag otherwise. */
     std::vector<std::uint64_t> tags_;
-    /** Mirror of lines_[i].lastUse so the LRU victim scan reads 8
-     *  bytes per way instead of a full CacheLine. */
+    /** LRU timestamp of lines_[i] (monotonic access sequence
+     *  number), packed so the victim scan reads 8 bytes per way. */
     std::vector<std::uint64_t> lastUse_;
     CacheObserver *observer_ = nullptr;
     std::uint64_t accessSeq_ = 0;

@@ -15,6 +15,9 @@ Mesh::Mesh(const MeshConfig &config)
       linkLatency_(config.linkLatency), localLatency_(config.localLatency)
 {
     vsnoop_assert(width_ >= 1 && height_ >= 1, "degenerate mesh");
+    vsnoop_assert(std::uint64_t{width_} * height_ <= kMaxNodes,
+                  "mesh ", width_, "x", height_, " has more than ",
+                  kMaxNodes, " nodes");
     vsnoop_assert(linkBytes_ >= 1, "link width must be positive");
     widthPow2_ = (width_ & (width_ - 1)) == 0;
     widthShift_ = static_cast<std::uint32_t>(std::countr_zero(width_));
@@ -22,6 +25,35 @@ Mesh::Mesh(const MeshConfig &config)
     flitShift_ = static_cast<std::uint32_t>(std::countr_zero(linkBytes_));
     links_.assign(static_cast<std::size_t>(numNodes()) * kLinkStride,
                   LinkState{});
+    legTally_.assign(std::max(width_, height_), 0);
+
+    // XY routing: the X leg runs along the source's row to the
+    // destination's column, then the Y leg runs up or down that
+    // column.
+    std::uint32_t nodes = numNodes();
+    routes_.resize(static_cast<std::size_t>(nodes) * nodes);
+    for (NodeId src = 0; src < nodes; ++src) {
+        for (NodeId dst = 0; dst < nodes; ++dst) {
+            Route &r = routes_[static_cast<std::size_t>(src) * nodes + dst];
+            r.first = static_cast<std::uint32_t>(routeLinks_.size());
+            NodeId at = src;
+            auto walk = [&](Direction dir, std::uint32_t steps) {
+                for (std::uint32_t s = 0; s < steps; ++s) {
+                    routeLinks_.push_back(
+                        static_cast<std::uint16_t>(linkIndex(at, dir)));
+                    at = neighbor(at, dir);
+                }
+            };
+            std::uint32_t x = nodeX(src), dst_x = nodeX(dst);
+            std::uint32_t y = nodeY(src), dst_y = nodeY(dst);
+            r.xHops =
+                static_cast<std::uint16_t>(x < dst_x ? dst_x - x : x - dst_x);
+            walk(x < dst_x ? East : West, r.xHops);
+            walk(y < dst_y ? North : South,
+                 y < dst_y ? dst_y - y : y - dst_y);
+            r.hops = static_cast<std::uint16_t>(routeLinks_.size() - r.first);
+        }
+    }
 }
 
 std::size_t
@@ -82,86 +114,129 @@ Mesh::unloadedLatency(NodeId src, NodeId dst, std::uint32_t bytes) const
            (flits - 1) * linkLatency_;
 }
 
+Mesh::Charge
+Mesh::chargeFor(std::uint32_t bytes, MsgClass cls) const
+{
+    std::uint32_t flits = flitsFor(bytes);
+    return {static_cast<std::size_t>(cls), flits,
+            static_cast<Tick>(flits) * linkLatency_,
+            static_cast<std::uint64_t>(flits) * linkBytes_};
+}
+
+template <bool kPerf>
+Tick
+Mesh::deliver(NodeId src, NodeId dst, const Charge &charge, Tick now,
+              Tick &wait, std::uint64_t &hops)
+{
+    if (src == dst) {
+        // The aggregate metric charges one hop; the loopback
+        // pseudo-link absorbs it so per-link sums conserve the
+        // aggregate (see LinkStat).
+        links_[linkIndex(src, Local)].byteHops[charge.cls] += charge.carried;
+        hops += 1;
+        return now + localLatency_;
+    }
+    const Route &r = route(src, dst);
+    hops += r.hops;
+    if constexpr (kPerf) {
+        legTally_[r.xHops]++;
+        legTally_[r.hops - r.xHops]++;
+    }
+    // Reserve each directed link on the path for the message's
+    // serialization time.  The head's arrival at the next router is
+    // delayed by both the pipeline and any link backlog.
+    const std::uint16_t *path = routeLinks_.data() + r.first;
+    Tick head = now;
+    for (std::uint32_t h = 0; h < r.hops; ++h) {
+        LinkState &link = links_[path[h]];
+        Tick ready = head + routerPipeline_;
+        Tick backlog = link.free > ready ? link.free - ready : 0;
+        link.waitCycles += backlog;
+        wait += backlog;
+        // Zero-wait hops land in bucket 0 (tallied for foldPerf()),
+        // so the histogram is the full backlog distribution, not just
+        // its tail.
+        if constexpr (kPerf) {
+            if (backlog == 0)
+                idleHops_++;
+            else
+                perf_->sendBacklog.sample(backlog);
+        }
+        Tick start = ready + backlog;
+        link.free = start + charge.occupancy;
+        link.byteHops[charge.cls] += charge.carried;
+        link.busyCycles += charge.occupancy;
+        head = start + linkLatency_;
+    }
+    // Tail flits trail the head on the final link.
+    return head + (charge.flits - 1) * linkLatency_;
+}
+
 Tick
 Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
            Tick now, Tick *queueWait)
 {
     vsnoop_assert(src < numNodes() && dst < numNodes(),
                   "node out of range: src=", src, " dst=", dst);
-
-    auto ci = static_cast<std::size_t>(cls);
-    std::uint32_t hops = hopCount(src, dst);
-    std::uint32_t flits = flitsFor(bytes);
-    std::uint64_t linkBytesCarried =
-        static_cast<std::uint64_t>(flits) * linkBytes_;
-    stats_.messages[ci].inc();
-    stats_.bytes[ci].inc(bytes);
-    stats_.byteHops[ci].inc(linkBytesCarried *
-                            std::max<std::uint32_t>(hops, 1));
-
-    if (src == dst) {
-        // The aggregate metric charged one hop; the loopback
-        // pseudo-link absorbs it so per-link sums conserve the
-        // aggregate (see LinkStat).
-        links_[linkIndex(src, Local)].byteHops[ci] += linkBytesCarried;
-        return now + localLatency_;
+    Charge charge = chargeFor(bytes, cls);
+    Tick wait = 0;
+    std::uint64_t hops = 0;
+    Tick arrive = 0;
+    if (perf_ != nullptr) {
+        arrive = deliver<true>(src, dst, charge, now, wait, hops);
+        foldPerf();
+    } else {
+        arrive = deliver<false>(src, dst, charge, now, wait, hops);
     }
-    Tick occupancy = static_cast<Tick>(flits) * linkLatency_;
+    stats_.messages[charge.cls].inc();
+    stats_.bytes[charge.cls].inc(bytes);
+    stats_.byteHops[charge.cls].inc(charge.carried * hops);
+    if (queueWait != nullptr)
+        *queueWait += wait;
+    return arrive;
+}
 
-    // Walk the XY path, reserving each directed link for the
-    // message's serialization time.  The head's arrival at the next
-    // router is delayed by both the pipeline and any link backlog.
-    // XY routing fixes the direction per leg, so each leg advances
-    // the link index by a constant stride instead of re-deriving
-    // (node, direction) coordinates per hop.
-    std::uint32_t x = nodeX(src);
-    std::uint32_t y = nodeY(src);
-    std::uint32_t dst_x = nodeX(dst);
-    std::uint32_t dst_y = nodeY(dst);
-    Tick head = now;
-    auto walkLeg = [&](std::size_t idx, std::ptrdiff_t stride,
-                       std::uint32_t steps) {
-        if (perf_ != nullptr)
-            perf_->legLength.sample(steps);
-        for (std::uint32_t s = 0; s < steps; ++s) {
-            LinkState &link = links_[idx];
-            Tick ready = head + routerPipeline_;
-            if (link.free > ready) {
-                link.waitCycles += link.free - ready;
-                if (queueWait != nullptr)
-                    *queueWait += link.free - ready;
-            }
-            // Zero-wait hops land in bucket 0, so the histogram is
-            // the full backlog distribution, not just its tail.
-            if (perf_ != nullptr)
-                perf_->sendBacklog.sample(
-                    link.free > ready ? link.free - ready : 0);
-            Tick start = std::max(ready, link.free);
-            link.free = start + occupancy;
-            link.byteHops[ci] += linkBytesCarried;
-            link.busyCycles += occupancy;
-            head = start + linkLatency_;
-            idx = static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(idx) + stride);
+void
+Mesh::multicast(NodeId src, std::uint64_t dsts, std::uint32_t bytes,
+                MsgClass cls, Tick now, Tick *arrive, Tick *queueWait)
+{
+    vsnoop_assert(src < numNodes() &&
+                      (numNodes() >= 64 || dsts >> numNodes() == 0),
+                  "node out of range: src=", src, " dsts=", dsts);
+    Charge charge = chargeFor(bytes, cls);
+    Tick wait = 0;
+    std::uint64_t hops = 0;
+    auto copies = static_cast<std::uint64_t>(std::popcount(dsts));
+    if (perf_ != nullptr) {
+        for (; dsts != 0; dsts &= dsts - 1) {
+            auto dst = static_cast<NodeId>(std::countr_zero(dsts));
+            *arrive++ = deliver<true>(src, dst, charge, now, wait, hops);
         }
-    };
-    if (x != dst_x) {
-        Direction dir = x < dst_x ? East : West;
-        std::ptrdiff_t step = x < dst_x ? 1 : -1;
-        std::uint32_t steps = x < dst_x ? dst_x - x : x - dst_x;
-        walkLeg(linkIndex(nodeAt(x, y), dir),
-                step * static_cast<std::ptrdiff_t>(kLinkStride), steps);
+        foldPerf();
+    } else {
+        for (; dsts != 0; dsts &= dsts - 1) {
+            auto dst = static_cast<NodeId>(std::countr_zero(dsts));
+            *arrive++ = deliver<false>(src, dst, charge, now, wait, hops);
+        }
     }
-    if (y != dst_y) {
-        Direction dir = y < dst_y ? North : South;
-        std::ptrdiff_t step = y < dst_y ? static_cast<std::ptrdiff_t>(width_)
-                                        : -static_cast<std::ptrdiff_t>(width_);
-        std::uint32_t steps = y < dst_y ? dst_y - y : y - dst_y;
-        walkLeg(linkIndex(nodeAt(dst_x, y), dir),
-                step * static_cast<std::ptrdiff_t>(kLinkStride), steps);
+    stats_.messages[charge.cls].inc(copies);
+    stats_.bytes[charge.cls].inc(bytes * copies);
+    stats_.byteHops[charge.cls].inc(charge.carried * hops);
+    if (queueWait != nullptr)
+        *queueWait += wait;
+}
+
+void
+Mesh::foldPerf()
+{
+    // Slot 0 counts the empty legs of straight paths: no sample.
+    for (std::size_t len = 1; len < legTally_.size(); ++len) {
+        perf_->legLength.sample(len, legTally_[len]);
+        legTally_[len] = 0;
     }
-    // Tail flits trail the head on the final link.
-    return head + (flits - 1) * linkLatency_;
+    legTally_[0] = 0;
+    perf_->sendBacklog.sample(0, idleHops_);
+    idleHops_ = 0;
 }
 
 std::vector<LinkStat>

@@ -14,6 +14,11 @@
  * it preserves the two quantities the paper's evaluation depends
  * on: per-message latency as a function of distance and load, and
  * exact byte-hop traffic accounting.
+ *
+ * Every (src, dst) XY path is computed once, at construction, as a
+ * list of link indices; a send walks its list.  A snoop multicast
+ * walks one list per destination and computes the message's flits,
+ * occupancy and counter updates once.
  */
 
 #ifndef VSNOOP_NOC_MESH_HH_
@@ -57,6 +62,10 @@ class Mesh : public Network
               MsgClass cls, Tick now,
               Tick *queueWait = nullptr) override;
 
+    void multicast(NodeId src, std::uint64_t dsts, std::uint32_t bytes,
+                   MsgClass cls, Tick now, Tick *arrive,
+                   Tick *queueWait = nullptr) override;
+
     std::uint32_t numNodes() const override { return width_ * height_; }
 
     /**
@@ -83,8 +92,8 @@ class Mesh : public Network
 
     /**
      * Attach an internals counter block (sim/perfmon.hh); nullptr
-     * detaches.  Branch-on-null: send() pays one predictable branch
-     * per leg and per hop when detached.
+     * detaches.  Branch-on-null: a send or multicast pays one
+     * predictable branch per call when detached.
      */
     void setPerf(MeshPerf *perf) { perf_ = perf; }
 
@@ -97,6 +106,12 @@ class Mesh : public Network
 
     /** Directions per node in the link arrays (incl. Local). */
     static constexpr std::size_t kLinkStride = 5;
+
+    /**
+     * Largest mesh: the route table holds nodes^2 paths, under 2 MB
+     * at 256 nodes, and its 16-bit link indices stay in range.
+     */
+    static constexpr std::uint32_t kMaxNodes = 256;
 
     /**
      * All per-link state — the contention horizon plus the traffic
@@ -134,6 +149,58 @@ class Mesh : public Network
     /** Flits needed for a message of @p bytes. */
     std::uint32_t flitsFor(std::uint32_t bytes) const;
 
+    /**
+     * One (src, dst) XY path: @p hops link indices starting at
+     * routeLinks_[first], the X leg's @p xHops of them first.
+     */
+    struct Route
+    {
+        std::uint32_t first = 0;
+        std::uint16_t hops = 0;
+        std::uint16_t xHops = 0;
+    };
+
+    const Route &
+    route(NodeId src, NodeId dst) const
+    {
+        return routes_[static_cast<std::size_t>(src) * numNodes() + dst];
+    }
+
+    /** What one message costs each link it crosses. */
+    struct Charge
+    {
+        /** MsgClass index. */
+        std::size_t cls;
+        std::uint32_t flits;
+        /** Cycles the message holds each link. */
+        Tick occupancy;
+        /** Flit-padded bytes charged to each link. */
+        std::uint64_t carried;
+    };
+
+    Charge chargeFor(std::uint32_t bytes, MsgClass cls) const;
+
+    /**
+     * Deliver one message from @p src to @p dst, reserving each link
+     * on its path, and return the tail's arrival tick.  Adds the
+     * backlog cycles to @p wait and the byteHops hop count (1 for
+     * local delivery) to @p hops; the caller bumps the class
+     * counters.  kPerf (perf_ attached; a separate instantiation keeps
+     * the detached walk free of per-hop branches) samples leg lengths
+     * and per-hop backlog, tallying the repeated values for
+     * foldPerf().
+     */
+    template <bool kPerf>
+    Tick deliver(NodeId src, NodeId dst, const Charge &charge, Tick now,
+                 Tick &wait, std::uint64_t &hops);
+
+    /**
+     * Fold the samples deliver<true>() tallied into perf_: leg lengths
+     * and zero-backlog hops are counted per value first, because a
+     * multicast repeats them many times over.
+     */
+    void foldPerf();
+
     std::uint32_t width_;
     std::uint32_t height_;
     std::uint32_t linkBytes_;
@@ -148,7 +215,16 @@ class Mesh : public Network
     Tick localLatency_;
     /** Per-link contention + accounting, node-major by direction. */
     std::vector<LinkState> links_;
+    /** [src * numNodes() + dst]; empty paths for src == dst. */
+    std::vector<Route> routes_;
+    /** Every route's link indices, src-major. */
+    std::vector<std::uint16_t> routeLinks_;
     MeshPerf *perf_ = nullptr;
+    /** @{ Samples tallied for foldPerf(): legs by length, and hops
+     *  that found their link free. */
+    std::vector<std::uint64_t> legTally_;
+    std::uint64_t idleHops_ = 0;
+    /** @} */
 };
 
 /**

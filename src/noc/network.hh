@@ -16,6 +16,7 @@
 #ifndef VSNOOP_NOC_NETWORK_HH_
 #define VSNOOP_NOC_NETWORK_HH_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -136,6 +137,25 @@ class Network
     virtual Tick send(NodeId src, NodeId dst, std::uint32_t bytes,
                       MsgClass cls, Tick now,
                       Tick *queueWait = nullptr) = 0;
+
+    /**
+     * Send one message of @p bytes from @p src to every node in
+     * @p dsts (bit n set = node n, so nodes below 64), departing at
+     * @p now.  It makes exactly the reservations and counter updates
+     * of one send() per destination in ascending node order, and
+     * writes the rank-r destination's arrival tick to @p arrive[r].
+     * @p queueWait sums the waits of all the sends.
+     */
+    virtual void
+    multicast(NodeId src, std::uint64_t dsts, std::uint32_t bytes,
+              MsgClass cls, Tick now, Tick *arrive,
+              Tick *queueWait = nullptr)
+    {
+        for (; dsts != 0; dsts &= dsts - 1) {
+            auto dst = static_cast<NodeId>(std::countr_zero(dsts));
+            *arrive++ = send(src, dst, bytes, cls, now, queueWait);
+        }
+    }
 
     /** Number of network nodes. */
     virtual std::uint32_t numNodes() const = 0;

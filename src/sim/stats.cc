@@ -73,6 +73,18 @@ LatencyHistogram::sample(std::uint64_t value)
 }
 
 void
+LatencyHistogram::sample(std::uint64_t value, std::uint64_t times)
+{
+    if (times == 0)
+        return;
+    buckets_[bucketFor(value)] += times;
+    count_ += times;
+    sum_ += value * times;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+}
+
+void
 LatencyHistogram::reset()
 {
     *this = LatencyHistogram();

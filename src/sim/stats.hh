@@ -95,6 +95,8 @@ class LatencyHistogram
     static constexpr std::size_t kNumBuckets = 40;
 
     void sample(std::uint64_t value);
+    /** Record @p times samples of @p value at once. */
+    void sample(std::uint64_t value, std::uint64_t times);
     void reset();
 
     /** Fold another histogram in, as if its samples were recorded

@@ -243,9 +243,10 @@ validateConfig(const SystemConfig &c, std::string *error)
         return fail("l1_bytes must be 0 or a positive multiple of " +
                     std::to_string(l1_granule));
     // The caches' line arrays are allocated and initialised up front,
-    // about one host byte per simulated byte, so bound the machine's
-    // total: 64x the paper's 4 MiB.  Each size is checked alone first
-    // so the product cannot wrap.
+    // 40 host bytes per simulated 64-byte line (the line, its tag and
+    // its LRU stamp), so bound the machine's total: 64x the paper's
+    // 4 MiB.  Each size is checked alone first so the product cannot
+    // wrap.
     constexpr std::uint64_t kMaxCacheBytes = std::uint64_t{256} << 20;
     if (c.l2.sizeBytes > kMaxCacheBytes ||
         c.l2.l1SizeBytes > kMaxCacheBytes ||
@@ -254,6 +255,11 @@ validateConfig(const SystemConfig &c, std::string *error)
                     " cores exceeds the " +
                     std::to_string(kMaxCacheBytes) +
                     "-byte (256 MiB) simulated cache limit");
+    // PageMon reserves 2 x pages_top cells up front.
+    constexpr std::uint32_t kMaxPagesTop = 65536;
+    if (c.pagesTop > kMaxPagesTop)
+        return fail("pages_top must be at most " +
+                    std::to_string(kMaxPagesTop));
     if (c.regionBytes < kLineBytes)
         return fail("region_bytes must be at least " +
                     std::to_string(kLineBytes));

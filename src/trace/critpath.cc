@@ -64,7 +64,6 @@ CritPathAccountant::CritPathAccountant(std::uint32_t num_vms,
 {
     std::size_t cells = static_cast<std::size_t>(dim_) * dim_;
     snoopLookups_.assign(cells, 0);
-    tagBusyCycles_.assign(cells, 0);
     bytesDelivered_.assign(cells, 0);
     byVm_.assign(kNumCritSegments * dim_, CritPathCell{});
 }
@@ -102,10 +101,27 @@ CritPathAccountant::lookup(VmId requester, VmId holder)
     std::uint32_t tgt_row = rowFor(holder);
     std::size_t cell = static_cast<std::size_t>(req_row) * dim_ + tgt_row;
     snoopLookups_[cell]++;
-    tagBusyCycles_[cell] += tagLookupCycles_;
     lookupsTotal.inc();
     if (req_row != tgt_row)
         lookupsOffDiag.inc();
+}
+
+void
+CritPathAccountant::lookups(VmId requester, CoreSet targets,
+                            const VmId *coreVm)
+{
+    std::uint32_t req_row = rowFor(requester);
+    std::uint64_t *row =
+        snoopLookups_.data() + static_cast<std::size_t>(req_row) * dim_;
+    std::uint64_t off_diag = 0;
+    targets.forEach([&](CoreId target) {
+        std::uint32_t tgt_row =
+            rowFor(coreVm != nullptr ? coreVm[target] : kInvalidVm);
+        row[tgt_row]++;
+        off_diag += tgt_row != req_row;
+    });
+    lookupsTotal.inc(targets.count());
+    lookupsOffDiag.inc(off_diag);
 }
 
 void
@@ -132,7 +148,6 @@ CritPathAccountant::resetStats()
     }
     std::fill(byVm_.begin(), byVm_.end(), CritPathCell{});
     std::fill(snoopLookups_.begin(), snoopLookups_.end(), 0);
-    std::fill(tagBusyCycles_.begin(), tagBusyCycles_.end(), 0);
     std::fill(bytesDelivered_.begin(), bytesDelivered_.end(), 0);
     for (std::uint64_t &w : nocWaitCycles_)
         w = 0;
@@ -165,7 +180,9 @@ CritPathAccountant::interferenceSnapshot() const
     InterferenceSnapshot snap;
     snap.dim = dim_;
     snap.snoopLookups = snoopLookups_;
-    snap.tagBusyCycles = tagBusyCycles_;
+    snap.tagBusyCycles.reserve(snoopLookups_.size());
+    for (std::uint64_t cell : snoopLookups_)
+        snap.tagBusyCycles.push_back(cell * tagLookupCycles_);
     snap.bytesDelivered = bytesDelivered_;
     return snap;
 }

@@ -43,6 +43,7 @@
 
 #include "coherence/protocol.hh"
 #include "noc/network.hh"
+#include "sim/core_set.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -153,9 +154,10 @@ std::string vmRowLabel(std::uint32_t row, std::uint32_t dim);
  * The live accountant.  CoherenceSystem owns one by value, so it is
  * always on: unlike a bounded trace ring, the attribution must cover
  * every transaction for its conservation and reconciliation
- * invariants to be exact.  Every snoop lookup is charged from one
- * place (CoherenceSystem::chargeLookup()), next to the
- * CoherenceStats::snoopLookups counter.
+ * invariants to be exact.  Every snoop lookup is charged next to the
+ * CoherenceStats::snoopLookups counter: the requester's own tag check
+ * in CoherenceSystem::chargeLookup(), a multicast's remote lookups in
+ * CoherenceSystem::sendSnoops().
  */
 class CritPathAccountant
 {
@@ -183,6 +185,12 @@ class CritPathAccountant
      * requester's own tag check is the diagonal, holder == requester.
      */
     void lookup(VmId requester, VmId holder);
+
+    /**
+     * lookup() for each core of @p targets, the holder being
+     * @p coreVm[core] (every core idle when @p coreVm is nullptr).
+     */
+    void lookups(VmId requester, CoreSet targets, const VmId *coreVm);
 
     /** A cache-to-cache data response reaching @p requester. */
     void bytesDelivered(VmId requester, VmId source,
@@ -238,9 +246,12 @@ class CritPathAccountant
     CritPathCell byReason_[kNumCritSegments][kNumFilterReasons];
     /** [seg * dim_ + row]. */
     std::vector<CritPathCell> byVm_;
-    /** dim_ x dim_, row-major [requester][target]. */
+    /**
+     * dim_ x dim_, row-major [requester][target].  The tag-busy
+     * matrix is snoopLookups_ x tagLookupCycles_, so the snapshot
+     * computes it.
+     */
     std::vector<std::uint64_t> snoopLookups_;
-    std::vector<std::uint64_t> tagBusyCycles_;
     std::vector<std::uint64_t> bytesDelivered_;
     std::uint64_t nocWaitCycles_[kNumMsgClasses] = {};
 };

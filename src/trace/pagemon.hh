@@ -39,12 +39,13 @@
  *
  * Charging follows the branch-on-null convention: CoherenceSystem
  * holds a nullable PageMon pointer, so runs without --pages stay
- * byte-identical.  Lookups arrive through lookup() from
- * CoherenceSystem::chargeLookup(), the one site that increments
- * stats.snoopLookups and charges CritPathAccountant (the requester's
- * own tag check and each remote delivery, memory snoops excluded),
- * so the page totals, the counter and the interference matrix see
- * the same lookups with the same holder VM.  resetStats() runs
+ * byte-identical.  Lookups arrive through lookup() from the two
+ * sites that increment stats.snoopLookups and charge
+ * CritPathAccountant: CoherenceSystem::chargeLookup() for the
+ * requester's own tag check and CoherenceSystem::sendSnoops() for
+ * each remote delivery (memory snoops excluded), so the page totals,
+ * the counter and the interference matrix see the same lookups with
+ * the same holder VM.  resetStats() runs
  * inside CoherenceSystem::resetStats() so warmup resets drop every
  * side of the reconciliation at once.  One PageMon per SimSystem
  * (one-system-per-thread contract).
@@ -153,9 +154,9 @@ class PageMon : public PageEventListener
 
     /**
      * One snoop lookup of @p line that @p requester induced on a core
-     * running @p holder (CoherenceSystem::chargeLookup()).  @p miss
-     * marks the requester's own tag check on a miss; a lookup with
-     * holder != requester counts as cross-VM.
+     * running @p holder (CoherenceSystem::chargeLookup() and
+     * sendSnoops()).  @p miss marks the requester's own tag check on
+     * a miss; a lookup with holder != requester counts as cross-VM.
      */
     void lookup(HostAddr line, VmId requester, VmId holder, bool miss);
 

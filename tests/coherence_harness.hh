@@ -7,7 +7,9 @@
 #ifndef VSNOOP_TESTS_COHERENCE_HARNESS_HH_
 #define VSNOOP_TESTS_COHERENCE_HARNESS_HH_
 
+#include <bit>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,38 @@
 
 namespace vsnoop::test
 {
+
+/**
+ * A mesh that logs every multicast, so a test can tell when each
+ * snoop reaches its target.
+ */
+class LoggingMesh : public Mesh
+{
+  public:
+    struct Multicast
+    {
+        NodeId src;
+        Tick depart;
+        /** Arrival tick per node; 0 for nodes not in the multicast. */
+        std::vector<Tick> arrive;
+    };
+
+    using Mesh::Mesh;
+
+    void
+    multicast(NodeId src, std::uint64_t dsts, std::uint32_t bytes,
+              MsgClass cls, Tick now, Tick *arrive,
+              Tick *queueWait = nullptr) override
+    {
+        Mesh::multicast(src, dsts, bytes, cls, now, arrive, queueWait);
+        Multicast entry{src, now, std::vector<Tick>(numNodes(), 0)};
+        for (; dsts != 0; dsts &= dsts - 1)
+            entry.arrive[std::countr_zero(dsts)] = *arrive++;
+        log.push_back(entry);
+    }
+
+    std::vector<Multicast> log;
+};
 
 /**
  * A 16-core token-coherence system over a 4x4 mesh with small L2s
@@ -36,7 +70,7 @@ class CoherenceHarness
     explicit CoherenceHarness(
         std::unique_ptr<SnoopTargetPolicy> policy = nullptr,
         std::uint64_t l2_bytes = 16 * 1024, std::uint32_t l2_ways = 4,
-        std::uint64_t l1_bytes = 0)
+        std::uint64_t l1_bytes = 0, ProtocolConfig cfg = {})
         : mesh(MeshConfig{}),
           policy_(policy ? std::move(policy)
                          : std::make_unique<TokenBPolicy>(16))
@@ -45,7 +79,6 @@ class CoherenceHarness
         geom.sizeBytes = l2_bytes;
         geom.ways = l2_ways;
         geom.l1SizeBytes = l1_bytes;
-        ProtocolConfig cfg;
         cfg.numCores = 16;
         system = std::make_unique<CoherenceSystem>(eq, mesh, *policy_,
                                                    cfg, geom, 8);
@@ -100,7 +133,7 @@ class CoherenceHarness
     }
 
     EventQueue eq;
-    Mesh mesh;
+    LoggingMesh mesh;
     std::unique_ptr<SnoopTargetPolicy> policy_;
     std::unique_ptr<CoherenceSystem> system;
 };

@@ -453,7 +453,7 @@ TEST(ConfigSchema, WireRejectsUnknownKeysWrongTypesAndSmallValues)
 TEST(ConfigSchema, WireCapsTheSimulatedCacheCapacity)
 {
     // (l2_bytes + l1_bytes) x cores may reach 256 MiB, not one
-    // granule more: every simulated cache byte costs a host byte.
+    // granule more: every simulated 64-byte line costs 40 host bytes.
     const std::string limit =
         "(l2_bytes + l1_bytes) x 16 cores exceeds the 268435456-byte "
         "(256 MiB) simulated cache limit";
@@ -488,6 +488,32 @@ TEST(ConfigSchema, WireCapsTheSimulatedCacheCapacity)
                           R"("l2_bytes":4194816})"),
               "(l2_bytes + l1_bytes) x 64 cores exceeds the 268435456-byte "
               "(256 MiB) simulated cache limit");
+}
+
+TEST(ConfigSchema, WireCapsPagesTop)
+{
+    // The page monitor reserves 2 x pages_top cells up front, so the
+    // heavy-hitter table is capped at 65,536 entries.
+    const std::string limit = "pages_top must be at most 65536";
+    struct Row
+    {
+        const char *config;
+        bool accepted;
+    };
+    const Row rows[] = {
+        {R"({"pages":true,"pages_top":65536})", true},
+        {R"({"pages":true,"pages_top":65537})", false},
+        {R"({"pages":true,"pages_top":4294967295})", false},
+    };
+    for (const Row &row : rows) {
+        std::string error;
+        bool ok = parseBody(std::string(R"({"apps":["ferret"],"config":)") +
+                                row.config + "}",
+                            &error)
+                      .has_value();
+        EXPECT_EQ(ok, row.accepted) << row.config;
+        EXPECT_EQ(error, row.accepted ? "" : limit) << row.config;
+    }
 }
 
 TEST(ConfigSchema, WireRejectsARunCountThatWraps)

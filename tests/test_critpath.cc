@@ -102,6 +102,30 @@ TEST(CritPathAccountant, MatrixIndexingAndHostRow)
     EXPECT_EQ(in.total(in.tagBusyCycles), 4u * 3u);
 }
 
+TEST(CritPathAccountant, MulticastLookupsEqualOneLookupPerTarget)
+{
+    // A multicast charges its targets in one call; the matrix, the
+    // totals and the tag-busy cycles must equal one lookup() per
+    // target, with the holder read from the core->VM table (every
+    // core idle without one).
+    const VmId core_vm[8] = {0, 0, 1, 1, 2, kInvalidVm, 3, 9};
+    const CoreSet targets = CoreSet::fromMask(0b11011110);
+    for (const VmId *table : {core_vm, static_cast<const VmId *>(nullptr)}) {
+        CritPathAccountant bulk(4, 3), single(4, 3);
+        bulk.lookups(1, targets, table);
+        targets.forEach([&](CoreId core) {
+            single.lookup(1, table != nullptr ? table[core] : kInvalidVm);
+        });
+        EXPECT_EQ(bulk.lookupsTotal.value(), single.lookupsTotal.value());
+        EXPECT_EQ(bulk.lookupsOffDiag.value(),
+                  single.lookupsOffDiag.value());
+        InterferenceSnapshot a = bulk.interferenceSnapshot();
+        InterferenceSnapshot b = single.interferenceSnapshot();
+        EXPECT_EQ(a.snoopLookups, b.snoopLookups);
+        EXPECT_EQ(a.tagBusyCycles, b.tagBusyCycles);
+    }
+}
+
 TEST(CritPathAccountant, BytesDeliveredAndReset)
 {
     CritPathAccountant acct(2, 3);

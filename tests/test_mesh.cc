@@ -3,9 +3,15 @@
  * Unit tests for the 2D mesh and the ideal crossbar.
  */
 
+#include <algorithm>
+#include <bit>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "noc/mesh.hh"
+#include "sim/perfmon.hh"
 
 namespace vsnoop::test
 {
@@ -274,6 +280,195 @@ TEST(MeshLinkStats, ResetStatsClearsLinkLedger)
         EXPECT_EQ(l.busyCycles, 0u);
         EXPECT_EQ(l.waitCycles, 0u);
     }
+}
+
+namespace
+{
+
+void
+expectSameHistogram(const LatencyHistogram &a, const LatencyHistogram &b,
+                    const char *name)
+{
+    EXPECT_EQ(a.count(), b.count()) << name;
+    EXPECT_EQ(a.sum(), b.sum()) << name;
+    EXPECT_EQ(a.min(), b.min()) << name;
+    EXPECT_EQ(a.max(), b.max()) << name;
+    for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i)
+        EXPECT_EQ(a.bucketHits(i), b.bucketHits(i)) << name << " bucket " << i;
+}
+
+/**
+ * Load @p multi and its identical twin @p uni with the same random
+ * background sends, then send random messages (source, destination
+ * mask, size, class, departure tick) as one multicast() on @p multi
+ * and as send()s in ascending destination order on @p uni.  Masks may
+ * include the source (local delivery) or be empty.
+ */
+void
+expectMulticastMatchesSends(Network &multi, Network &uni,
+                            std::uint64_t seed)
+{
+    const std::uint32_t nodes = multi.numNodes();
+    const std::uint64_t all =
+        nodes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nodes) - 1;
+    std::mt19937_64 rng(seed);
+    auto bytes = [&] {
+        const std::uint32_t sizes[] = {8, 16, 17, 72};
+        return rng() % 5 == 0 ? 1 + static_cast<std::uint32_t>(rng() % 100)
+                              : sizes[rng() % 4];
+    };
+    auto cls = [&] { return static_cast<MsgClass>(rng() % kNumMsgClasses); };
+    Tick base = 0;
+    for (int i = 0; i < 400; ++i) {
+        auto src = static_cast<NodeId>(rng() % nodes);
+        auto dst = static_cast<NodeId>(rng() % nodes);
+        std::uint32_t size = bytes();
+        MsgClass c = cls();
+        base += rng() % 3;
+        ASSERT_EQ(multi.send(src, dst, size, c, base),
+                  uni.send(src, dst, size, c, base));
+    }
+    for (int i = 0; i < 300; ++i) {
+        auto src = static_cast<NodeId>(rng() % nodes);
+        std::uint64_t dsts = rng() & rng() & all;
+        if (i % 7 == 0)
+            dsts = all & ~(std::uint64_t{1} << src); // a broadcast
+        std::uint32_t size = bytes();
+        MsgClass c = cls();
+        base += rng() % 4;
+        Tick now = base + rng() % 16; // not monotone
+        std::vector<Tick> arrive(std::popcount(dsts));
+        Tick multi_wait = 0;
+        multi.multicast(src, dsts, size, c, now, arrive.data(),
+                        &multi_wait);
+        std::vector<Tick> want;
+        Tick uni_wait = 0;
+        for (std::uint64_t rest = dsts; rest != 0; rest &= rest - 1) {
+            auto dst = static_cast<NodeId>(std::countr_zero(rest));
+            want.push_back(uni.send(src, dst, size, c, now, &uni_wait));
+        }
+        ASSERT_EQ(arrive, want) << "multicast " << i;
+        ASSERT_EQ(multi_wait, uni_wait) << "multicast " << i;
+    }
+    for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
+        EXPECT_EQ(multi.stats().messages[c].value(),
+                  uni.stats().messages[c].value());
+        EXPECT_EQ(multi.stats().bytes[c].value(),
+                  uni.stats().bytes[c].value());
+        EXPECT_EQ(multi.stats().byteHops[c].value(),
+                  uni.stats().byteHops[c].value());
+    }
+    std::vector<LinkStat> got = multi.linkStats();
+    std::vector<LinkStat> want = uni.linkStats();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].from, want[i].from);
+        EXPECT_EQ(got[i].to, want[i].to);
+        for (std::size_t c = 0; c < kNumMsgClasses; ++c)
+            EXPECT_EQ(got[i].byteHops[c], want[i].byteHops[c]);
+        EXPECT_EQ(got[i].busyCycles, want[i].busyCycles);
+        EXPECT_EQ(got[i].waitCycles, want[i].waitCycles);
+    }
+}
+
+} // namespace
+
+TEST(Mesh, RoutesAreXyPaths)
+{
+    // Each pair's message, alone on the mesh, must occupy exactly the
+    // links of its XY path (along the source's row, then the
+    // destination's column), sample its two legs, and arrive at the
+    // unloaded latency.
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {2, 2}, {3, 5}, {4, 4}, {8, 8}};
+    for (auto [width, height] : shapes) {
+        MeshConfig cfg;
+        cfg.width = width;
+        cfg.height = height;
+        Mesh mesh(cfg);
+        Tick now = 0;
+        for (NodeId src = 0; src < mesh.numNodes(); ++src) {
+            for (NodeId dst = 0; dst < mesh.numNodes(); ++dst) {
+                SCOPED_TRACE(std::to_string(width) + "x" +
+                             std::to_string(height) + " " +
+                             std::to_string(src) + "->" +
+                             std::to_string(dst));
+                std::vector<std::pair<NodeId, NodeId>> want;
+                std::uint32_t x = src % width, y = src / width;
+                std::uint32_t dx = dst % width, dy = dst / width;
+                while (x != dx) {
+                    std::uint32_t nx = x < dx ? x + 1 : x - 1;
+                    want.emplace_back(y * width + x, y * width + nx);
+                    x = nx;
+                }
+                while (y != dy) {
+                    std::uint32_t ny = y < dy ? y + 1 : y - 1;
+                    want.emplace_back(y * width + x, ny * width + x);
+                    y = ny;
+                }
+                MeshPerf perf;
+                mesh.setPerf(&perf);
+                mesh.resetStats();
+                now += 1000; // every link is idle again
+                EXPECT_EQ(mesh.send(src, dst, 72, MsgClass::Data, now),
+                          now + mesh.unloadedLatency(src, dst, 72));
+                std::vector<std::pair<NodeId, NodeId>> busy;
+                for (const LinkStat &l : mesh.linkStats()) {
+                    if (l.busyCycles > 0)
+                        busy.emplace_back(l.from, l.to);
+                }
+                std::sort(want.begin(), want.end());
+                EXPECT_EQ(busy, want);
+                std::uint32_t x_leg = src % width > dst % width
+                                          ? src % width - dst % width
+                                          : dst % width - src % width;
+                std::uint32_t y_leg = src / width > dst / width
+                                          ? src / width - dst / width
+                                          : dst / width - src / width;
+                EXPECT_EQ(perf.legLength.count(),
+                          (x_leg > 0 ? 1u : 0u) + (y_leg > 0 ? 1u : 0u));
+                EXPECT_EQ(perf.legLength.sum(), x_leg + y_leg);
+                EXPECT_EQ(perf.legLength.max(), std::max(x_leg, y_leg));
+                EXPECT_EQ(perf.sendBacklog.count(), x_leg + y_leg);
+            }
+        }
+    }
+}
+
+TEST(MeshMulticast, EqualsAscendingSends)
+{
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {2, 2}, {3, 5}, {4, 4}, {8, 8}};
+    for (auto [width, height] : shapes) {
+        for (bool perf : {false, true}) {
+            SCOPED_TRACE(std::to_string(width) + "x" +
+                         std::to_string(height) +
+                         (perf ? " perf" : ""));
+            MeshConfig cfg;
+            cfg.width = width;
+            cfg.height = height;
+            Mesh multi(cfg), uni(cfg);
+            MeshPerf multi_perf, uni_perf;
+            if (perf) {
+                multi.setPerf(&multi_perf);
+                uni.setPerf(&uni_perf);
+            }
+            expectMulticastMatchesSends(multi, uni, width * 100 + height);
+            if (perf) {
+                EXPECT_GT(uni_perf.legLength.count(), 0u);
+            }
+            expectSameHistogram(multi_perf.legLength, uni_perf.legLength,
+                                "legLength");
+            expectSameHistogram(multi_perf.sendBacklog,
+                                uni_perf.sendBacklog, "sendBacklog");
+        }
+    }
+}
+
+TEST(IdealCrossbar, MulticastEqualsAscendingSends)
+{
+    IdealCrossbar multi(16, 8), uni(16, 8);
+    expectMulticastMatchesSends(multi, uni, 16);
 }
 
 TEST(IdealCrossbar, HasNoPerLinkStats)

@@ -17,12 +17,21 @@
  *
  * On a mismatch the actual digests are written to the test's temp
  * dir as run_digests.json.actual, in the golden's format.
+ *
+ * Beside the digests, tests/golden/run_work.json pins how much work
+ * each run does with perf on: events scheduled, mesh legs and hops,
+ * snoop lookups, transactions, accesses and each protocol table's
+ * probes.  A change that makes the work cheaper leaves these counts
+ * alone; one that changes how much work a run does moves them by an
+ * exact amount.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,14 +226,51 @@ withoutMeta(const std::string &record)
     return record.substr(0, begin) + record.substr(end);
 }
 
+/** Read tests/golden/@p name, or "" when it is missing. */
+std::string
+readGolden(const std::string &name)
+{
+    std::ifstream in(std::string(VSNOOP_GOLDEN_DIR) + "/" + name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Write @p actual beside the test as @p name.actual and fail. */
+void
+dumpActual(const std::string &name, const std::string &actual)
+{
+    fs::path dump = fs::path(::testing::TempDir()) / (name + ".actual");
+    std::ofstream(dump, std::ios::binary) << actual;
+    ADD_FAILURE() << "actual " << name << " in " << dump.string();
+}
+
+/** The work counts of one perf-on run, in run_work.json order. */
+std::vector<std::pair<std::string, std::uint64_t>>
+workCounts(const SystemResults &r)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> counts = {
+        {"events_scheduled", r.perf.eventQueue.schedules},
+        {"mesh_legs", r.perf.mesh.legLength.count()},
+        {"mesh_hops", r.perf.mesh.legLength.sum()},
+        {"snoop_lookups", r.snoopLookups},
+        {"transactions", r.transactions},
+        {"accesses", r.totalAccesses},
+    };
+    for (const auto &[key, member] : kPerfTables) {
+        const LatencyHistogram &probes = (r.perf.*member).probeLength;
+        counts.emplace_back(std::string(key) + "_probes", probes.count());
+        counts.emplace_back(std::string(key) + "_probe_sum", probes.sum());
+    }
+    return counts;
+}
+
 } // namespace
 
 TEST(RunDigests, MatrixMatchesGolden)
 {
-    std::ifstream in(std::string(VSNOOP_GOLDEN_DIR) + "/run_digests.json");
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::optional<JsonValue> golden = parseJson(text.str());
+    std::string text = readGolden("run_digests.json");
+    std::optional<JsonValue> golden = parseJson(text);
     ASSERT_TRUE(golden && golden->isObject())
         << "tests/golden/run_digests.json is missing or malformed";
 
@@ -245,12 +291,46 @@ TEST(RunDigests, MatrixMatchesGolden)
     }
     actual += "\n}\n";
     EXPECT_EQ(golden->members().size(), matrix().size());
-    if (actual != text.str()) {
-        fs::path dump =
-            fs::path(::testing::TempDir()) / "run_digests.json.actual";
-        std::ofstream(dump, std::ios::binary) << actual;
-        ADD_FAILURE() << "actual digests in " << dump.string();
+    if (actual != text)
+        dumpActual("run_digests.json", actual);
+}
+
+TEST(RunDigests, WorkMatchesGolden)
+{
+    std::string text = readGolden("run_work.json");
+    // A missing golden still writes the actual file, so a new one can
+    // be generated from the failure.
+    JsonValue golden = parseJson(text).value_or(JsonValue{});
+    EXPECT_TRUE(golden.isObject())
+        << "tests/golden/run_work.json is missing or malformed";
+
+    std::string actual = "{\n";
+    for (const Point &point : matrix()) {
+        SystemConfig config = baseConfig();
+        point.tweak(config);
+        config.perf = true;
+        SystemResults results = collectRun(config, findApp(point.app)).results;
+        const JsonValue *want = golden.find(point.name);
+        EXPECT_TRUE(want != nullptr && want->isObject())
+            << point.name << " has no golden work counts";
+        std::string line;
+        for (const auto &[name, value] : workCounts(results)) {
+            const JsonValue *cell = want ? want->find(name) : nullptr;
+            EXPECT_EQ(cell ? cell->uinteger() : std::nullopt,
+                      std::optional<std::uint64_t>(value))
+                << point.name << " " << name;
+            line += std::string(line.empty() ? "" : ", ") + "\"" + name +
+                    "\": " + std::to_string(value);
+        }
+        actual += std::string(actual.size() > 2 ? ",\n" : "") + "  \"" +
+                  point.name + "\": {" + line + "}";
     }
+    actual += "\n}\n";
+    if (golden.isObject()) {
+        EXPECT_EQ(golden.members().size(), matrix().size());
+    }
+    if (actual != text)
+        dumpActual("run_work.json", actual);
 }
 
 } // namespace vsnoop::test

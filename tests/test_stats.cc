@@ -4,6 +4,7 @@
  */
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,27 @@ TEST(LatencyHistogram, MergedCellsWriteTheJsonOfTheUnion)
     empty.merge(LatencyHistogram{});
     EXPECT_EQ(empty.min(), 0u);
     EXPECT_EQ(jsonOf(empty), jsonOf(LatencyHistogram{}));
+}
+
+TEST(LatencyHistogram, RepeatedSampleWritesTheJsonOfSingleSamples)
+{
+    // The mesh tallies repeated values (leg lengths, idle hops) and
+    // records each value once with its count.  Zero times records
+    // nothing, so min() stays untouched.
+    LatencyHistogram counted;
+    LatencyHistogram single;
+    const std::pair<std::uint64_t, std::uint64_t> rows[] = {
+        {3, 4}, {0, 7}, {1u << 20, 1}, {12, 0}, {2, 3}};
+    for (auto [value, times] : rows) {
+        counted.sample(value, times);
+        for (std::uint64_t i = 0; i < times; ++i)
+            single.sample(value);
+    }
+    EXPECT_EQ(jsonOf(counted), jsonOf(single));
+
+    LatencyHistogram none;
+    none.sample(5, 0);
+    EXPECT_EQ(jsonOf(none), jsonOf(LatencyHistogram{}));
 }
 
 TEST(NearestRank, Table)

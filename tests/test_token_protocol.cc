@@ -336,6 +336,129 @@ TEST(TokenProtocol, SnoopSentBeforeTargetFillHitsAtArrival)
     EXPECT_TRUE(line->owner);
 }
 
+TEST(TokenProtocol, FlightReleasesOnlyTheTargetThatFilled)
+{
+    // A's GetX multicast finds both B and D without the line.  B's
+    // fill lands before A's snoop reaches B; D's lands after A's
+    // snoop has reached D.  Only B's snoop is delivered, at its own
+    // arrival tick and event position; D's expires, so D keeps its
+    // token and A collects it with one retry.
+    constexpr CoreId kA = 3, kB = 15, kD = 12;
+    Tick fill = 0;
+    {
+        CoherenceHarness probe;
+        auto alone = probe.access(kB, kAddr, false);
+        fill = alone.doneAt - probe.system->config().l2Latency;
+    }
+    // D's read reaches memory before A's write does, so D takes a
+    // token that A's first attempt can only get from D's cache.
+    auto start = [&](CoherenceHarness &h) {
+        h.issue(kB, kAddr, false);
+        h.eq.runUntil(fill - 10);
+        h.issue(kD, kAddr, false);
+        h.eq.runUntil(fill - 2);
+    };
+    // A dry run of the same script tells when A's snoops arrive.
+    Tick at_b = 0, at_d = 0;
+    {
+        CoherenceHarness dry;
+        start(dry);
+        dry.issue(kA, kAddr, true);
+        ASSERT_EQ(dry.mesh.log.back().src, kA);
+        at_b = dry.mesh.log.back().arrive[kB];
+        at_d = dry.mesh.log.back().arrive[kD];
+    }
+    ASSERT_GT(at_b, fill);
+
+    CoherenceHarness h;
+    start(h);
+    // Probes at at_b, one event position before A's snoop to B and
+    // one after it.
+    bool before = false, after = true;
+    h.eq.scheduleFn(at_b, [&] { before = h.line(kB, kAddr) != nullptr; });
+    auto write = h.issue(kA, kAddr, true);
+    h.eq.scheduleFn(at_b, [&] { after = h.line(kB, kAddr) != nullptr; });
+    ASSERT_EQ(h.mesh.log.back().arrive[kB], at_b);
+
+    h.eq.runUntil(at_d);
+    EXPECT_EQ(h.line(kD, kAddr), nullptr) << "D filled before its snoop";
+    while (h.line(kD, kAddr) == nullptr && h.eq.step()) {
+    }
+    const CacheLine *d_line = h.line(kD, kAddr);
+    ASSERT_NE(d_line, nullptr);
+    EXPECT_EQ(d_line->tokens, 1u);
+    EXPECT_EQ(h.system->controller(kD).snoopHits.value(), 0u);
+    h.drain(); // runs dry, then checkInvariants()
+
+    EXPECT_TRUE(before);
+    EXPECT_FALSE(after);
+    ASSERT_TRUE(write->fired);
+    EXPECT_EQ(h.system->controller(kB).snoopHits.value(), 1u);
+    // The retry found D holding the line and took its token.
+    EXPECT_EQ(h.system->stats.retries.value(), 1u);
+    EXPECT_EQ(h.system->controller(kD).snoopHits.value(), 1u);
+    EXPECT_EQ(h.line(kD, kAddr), nullptr);
+    const CacheLine *line = h.line(kA, kAddr);
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(line->tokens, kAllTokens);
+}
+
+TEST(TokenProtocol, FillReleasesEveryFlightOfItsLine)
+{
+    // With a 10-tick retry window, A's read re-multicasts before its
+    // first snoops arrive, so B (whose own read is still in flight)
+    // is pending in two of A's flights when its fill lands.  The one
+    // install releases both, each at its own position, and every one
+    // of A's attempts finds B holding the line.
+    ProtocolConfig cfg;
+    cfg.retryWindow = 10;
+    cfg.maxTransientAttempts = 64;
+    constexpr CoreId kA = 0, kB = 15;
+    Tick fill = 0;
+    {
+        CoherenceHarness probe(nullptr, 16 * 1024, 4, 0, cfg);
+        auto alone = probe.access(kB, kAddr, false);
+        fill = alone.doneAt - probe.system->config().l2Latency;
+    }
+    const Tick issue = fill - 12;
+    // A dry run tells when A's second attempt reaches B.
+    Tick second_at = 0;
+    {
+        CoherenceHarness dry(nullptr, 16 * 1024, 4, 0, cfg);
+        dry.issue(kB, kAddr, false);
+        dry.eq.runUntil(issue);
+        dry.issue(kA, kAddr, false);
+        dry.eq.runUntil(issue + cfg.retryWindow);
+        ASSERT_EQ(dry.mesh.log.back().src, kA);
+        ASSERT_EQ(dry.mesh.log.back().depart, issue + cfg.retryWindow);
+        second_at = dry.mesh.log.back().arrive[kB];
+    }
+    ASSERT_GT(second_at, fill);
+
+    CoherenceHarness h(nullptr, 16 * 1024, 4, 0, cfg);
+    h.issue(kB, kAddr, false);
+    h.eq.runUntil(issue);
+    auto read = h.issue(kA, kAddr, false);
+    const Counter &hits = h.system->controller(kB).snoopHits;
+    std::uint64_t before = 0, after = 0;
+    h.eq.scheduleFn(second_at, [&] { before = hits.value(); });
+    h.eq.runUntil(issue + cfg.retryWindow);
+    ASSERT_EQ(h.mesh.log.back().depart, issue + cfg.retryWindow);
+    ASSERT_EQ(h.mesh.log.back().arrive[kB], second_at);
+    h.eq.scheduleFn(second_at, [&] { after = hits.value(); });
+    ASSERT_EQ(h.line(kB, kAddr), nullptr) << "B filled before A's retry";
+    h.drain();
+
+    ASSERT_TRUE(read->fired);
+    // A's second snoop was delivered between the two probes.
+    EXPECT_EQ(after, before + 1);
+    std::uint64_t a_attempts = 0;
+    for (const LoggingMesh::Multicast &m : h.mesh.log)
+        a_attempts += m.src == kA;
+    EXPECT_GE(a_attempts, 3u);
+    EXPECT_EQ(hits.value(), a_attempts);
+}
+
 TEST(MshrPool, GrowsPastItsReserveAndReusesResetSlots)
 {
     // The pool reserves one slot (in-order cores block on misses);
